@@ -33,15 +33,6 @@ class Trajectory:
     inference_ms: float = 0.0
 
 
-def _cell_metric(a, b, connectivity: int) -> int:
-    """Neighborhood metric matched to grid locality: Manhattan balls for
-    4-connected grids, Chebyshev balls for 8-connected ones, so radius 1
-    is exactly the set of grid neighbors."""
-    dr = abs(a[0] - b[0])
-    dc = abs(a[1] - b[1])
-    return dr + dc if connectivity == 4 else max(dr, dc)
-
-
 def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, grid: GridMap,
                   start: int, connectivity: int = 4) -> Tour:
     """Greedy tour over symmetrized probabilities with expanding neighborhoods.
@@ -62,6 +53,8 @@ def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, grid: GridMap,
         cur_cell = cells[current]
         dr = np.abs(cells[:, 0] - cur_cell[0])
         dc = np.abs(cells[:, 1] - cur_cell[1])
+        # Manhattan balls on 4-connected grids, Chebyshev balls on
+        # 8-connected ones: radius 1 is exactly the grid neighbors
         radii = dr + dc if connectivity == 4 else np.maximum(dr, dc)
         chosen = -1
         for r in range(1, max_radius + 1):

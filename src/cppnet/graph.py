@@ -28,9 +28,6 @@ class ScenarioGraph:
     def real_mask(self) -> np.ndarray:
         return np.diag(self.indicator) == 2
 
-    def adjacency(self) -> np.ndarray:
-        return self.indicator == 1
-
 
 def encode(grid: GridMap, n_max: int, connectivity: int = 4, normalize: bool = False) -> ScenarioGraph:
     """Encode a grid map into an n_max-slot graph.

@@ -143,41 +143,6 @@ class ModelParams:
     def trainable_arrays(self) -> list[np.ndarray]:
         return [arr for _, arr in self.named_trainable()]
 
-    def copy(self) -> "ModelParams":
-        layers = [
-            ConvLayer(
-                l.w_self.copy(),
-                l.w_neighbor.copy(),
-                l.w_edge.copy(),
-                l.w_source.copy(),
-                l.w_target.copy(),
-                BatchNorm(
-                    l.bn_node.gamma.copy(),
-                    l.bn_node.beta.copy(),
-                    l.bn_node.run_mean.copy(),
-                    l.bn_node.run_var.copy(),
-                ),
-                BatchNorm(
-                    l.bn_edge.gamma.copy(),
-                    l.bn_edge.beta.copy(),
-                    l.bn_edge.run_mean.copy(),
-                    l.bn_edge.run_var.copy(),
-                ),
-            )
-            for l in self.layers
-        ]
-        return ModelParams(
-            self.config,
-            self.node_weight.copy(),
-            self.node_bias.copy(),
-            self.dist_weight.copy(),
-            self.dist_bias.copy(),
-            self.indicator_weight.copy(),
-            layers,
-            [w.copy() for w in self.mlp_weights],
-            [b.copy() for b in self.mlp_biases],
-        )
-
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Fan-in scaled uniform initialization; batch-norm scale 1, shift 0."""
@@ -236,7 +201,6 @@ class GraphBatch:
     dist: np.ndarray         # (B, n, n)
     indicator: np.ndarray    # (B, n, n) float
     real: np.ndarray         # (B, n) bool
-    adj: np.ndarray          # (B, n, n) bool
     pair_mask: np.ndarray    # (B, n, n) bool: both real, i != j
     adj_idx: tuple           # (b, i, j) arrays of adjacency entries
     row_starts: np.ndarray   # reduceat boundaries grouping adj_idx by (b, i)
@@ -263,11 +227,10 @@ def stack_graphs(graphs: list[ScenarioGraph], dtype=np.float64) -> GraphBatch:
     dist = np.stack([g.dist for g in graphs]).astype(dtype)
     indicator = np.stack([g.indicator for g in graphs]).astype(dtype)
     real = indicator.diagonal(axis1=1, axis2=2) == 2
-    adj = indicator == 1
     eye = np.eye(n, dtype=bool)
     pair_mask = real[:, :, None] & real[:, None, :] & ~eye
 
-    b_idx, i_idx, j_idx = np.nonzero(adj)
+    b_idx, i_idx, j_idx = np.nonzero(indicator == 1)
     row_key = b_idx * n + i_idx
     if len(row_key):
         row_starts = np.flatnonzero(np.diff(row_key, prepend=row_key[0] - 1))
@@ -283,7 +246,6 @@ def stack_graphs(graphs: list[ScenarioGraph], dtype=np.float64) -> GraphBatch:
         dist,
         indicator,
         real,
-        adj,
         pair_mask,
         (b_idx, i_idx, j_idx),
         row_starts,
@@ -328,17 +290,17 @@ def embed_input(batch: GraphBatch, params: ModelParams):
 
 def _bn_stats(values, mask, bn: BatchNorm, training: bool, update_stats: bool):
     """Mean/variance over masked entries (train) or running stats (eval)."""
-    if training:
-        pop = values[mask]
-        m = pop.shape[0]
-        mu = pop.mean(axis=0)
-        var = pop.var(axis=0)
-        if update_stats:
-            bn.run_mean[...] = (1 - BN_MOMENTUM) * bn.run_mean + BN_MOMENTUM * mu
-            unbiased = var * (m / (m - 1)) if m > 1 else var
-            bn.run_var[...] = (1 - BN_MOMENTUM) * bn.run_var + BN_MOMENTUM * unbiased
-        return mu, var, m
-    return bn.run_mean.copy(), bn.run_var.copy(), 0
+    if not training:
+        return bn.run_mean, bn.run_var
+    pop = values[mask]
+    m = pop.shape[0]
+    mu = pop.mean(axis=0)
+    var = pop.var(axis=0)
+    if update_stats:
+        bn.run_mean[...] = (1 - BN_MOMENTUM) * bn.run_mean + BN_MOMENTUM * mu
+        unbiased = var * (m / (m - 1)) if m > 1 else var
+        bn.run_var[...] = (1 - BN_MOMENTUM) * bn.run_var + BN_MOMENTUM * unbiased
+    return mu, var
 
 
 def _gate_forward(e, x, layer: ConvLayer, batch: GraphBatch):
@@ -364,15 +326,17 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
                  update_stats: bool | None = None):
     """One residual gated graph-convolution layer.
 
-    Returns the next node and edge features plus the cache needed by
-    conv_backward (inputs and the normalization statistics actually used).
+    Returns the next node and edge features plus, in training mode, the
+    cache conv_backward reads: the layer inputs, the gate terms, the
+    normalized pre-activations, the ReLU masks and the batch variances.
+    In eval mode the cache is None.
     """
     if update_stats is None:
         update_stats = training
     sg_vals, den, raw, v, agg = _gate_forward(e, x, layer, batch)
 
     s = x @ layer.w_self.T + agg
-    mu_n, var_n, _ = _bn_stats(s, batch.real, layer.bn_node, training, update_stats)
+    mu_n, var_n = _bn_stats(s, batch.real, layer.bn_node, training, update_stats)
     s_hat = (s - mu_n) / np.sqrt(var_n + BN_EPS)
     y_n = layer.bn_node.gamma * s_hat + layer.bn_node.beta
     x_next = x + np.maximum(y_n, 0.0)
@@ -380,61 +344,57 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     t = e @ layer.w_edge.T
     t += (x @ layer.w_source.T)[:, :, None, :]
     t += (x @ layer.w_target.T)[:, None, :, :]
-    mu_e, var_e, _ = _bn_stats(t, batch.pair_mask, layer.bn_edge, training, update_stats)
-    t_hat = (t - mu_e) / np.sqrt(var_e + BN_EPS)
-    y_e = layer.bn_edge.gamma * t_hat + layer.bn_edge.beta
+    mu_e, var_e = _bn_stats(t, batch.pair_mask, layer.bn_edge, training, update_stats)
+    # normalize in place: t_hat is the largest tensor the cache keeps
+    t -= mu_e
+    t /= np.sqrt(var_e + BN_EPS)
+    y_e = layer.bn_edge.gamma * t + layer.bn_edge.beta
     e_next = e + np.maximum(y_e, 0.0)
 
-    cache = {"x": x, "e": e, "mu_n": mu_n, "var_n": var_n, "mu_e": mu_e, "var_e": var_e}
+    if not training:
+        return x_next, e_next, None
+    cache = {
+        "x": x, "e": e, "gate": (sg_vals, den, raw, v),
+        "mu_n": mu_n, "var_n": var_n, "s_hat": s_hat, "relu_n": y_n > 0,
+        "var_e": var_e, "t_hat": t, "relu_e": y_e > 0,
+    }
     return x_next, e_next, cache
 
 
-def _bn_backward(g, x_hat, var, mask, gamma, training):
-    """Gradient through y = gamma * x_hat + beta with masked statistics.
+def _bn_backward(g, x_hat, var, mask, gamma):
+    """Gradient through y = gamma * x_hat + beta with batch statistics over mask.
 
     g must be zero outside the mask (no loss path exists there); returns
     (dx, dgamma, dbeta) with dx zeroed outside the mask.
     """
-    dgamma = (g * x_hat).sum(axis=tuple(range(g.ndim - 1)))
-    dbeta = g.sum(axis=tuple(range(g.ndim - 1)))
+    axes = tuple(range(g.ndim - 1))
+    dgamma = (g * x_hat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
     dxh = g * gamma
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    if not training:
-        return dxh * inv_std * mask[..., None], dgamma, dbeta
     m = int(mask.sum())
-    sum1 = dxh.sum(axis=tuple(range(g.ndim - 1)))
-    sum2 = (dxh * x_hat).sum(axis=tuple(range(g.ndim - 1)))
+    sum1 = dxh.sum(axis=axes)
+    sum2 = (dxh * x_hat).sum(axis=axes)
     dx = (dxh - sum1 / m - x_hat * (sum2 / m)) * inv_std
     return dx * mask[..., None], dgamma, dbeta
 
 
-def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache,
-                  training: bool):
-    """Exact gradients of one conv layer; recomputes activations from the cache."""
+def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
+    """Exact gradients of one conv layer from its training-mode cache."""
     x, e = cache["x"], cache["e"]
+    sg_vals, den, raw, v = cache["gate"]
     B, n = batch.real.shape
     h = x.shape[-1]
     flat_x = x.reshape(-1, h)
-
-    # recompute forward intermediates
-    sg_vals, den, raw, v, agg = _gate_forward(e, x, layer, batch)
-    s = x @ layer.w_self.T + agg
-    s_hat = (s - cache["mu_n"]) / np.sqrt(cache["var_n"] + BN_EPS)
-    y_n = layer.bn_node.gamma * s_hat + layer.bn_node.beta
-    t = e @ layer.w_edge.T
-    t += (x @ layer.w_source.T)[:, :, None, :]
-    t += (x @ layer.w_target.T)[:, None, :, :]
-    t_hat = (t - cache["mu_e"]) / np.sqrt(cache["var_e"] + BN_EPS)
-    y_e = layer.bn_edge.gamma * t_hat + layer.bn_edge.beta
 
     grads = {}
     dx = dx_next.copy()
     de = de_next.copy()
 
     # edge branch: e_next = e + relu(y_e)
-    ge = de_next * (y_e > 0)
+    ge = de_next * cache["relu_e"]
     dt, dg_e, db_e = _bn_backward(
-        ge, t_hat, cache["var_e"], batch.pair_mask, layer.bn_edge.gamma, training
+        ge, cache["t_hat"], cache["var_e"], batch.pair_mask, layer.bn_edge.gamma
     )
     grads["bn_edge.gamma"] = dg_e
     grads["bn_edge.beta"] = db_e
@@ -449,9 +409,9 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache,
     dx += dt_j @ layer.w_target
 
     # node branch: x_next = x + relu(y_n)
-    gn = dx_next * (y_n > 0)
+    gn = dx_next * cache["relu_n"]
     ds, dg_n, db_n = _bn_backward(
-        gn, s_hat, cache["var_n"], batch.real, layer.bn_node.gamma, training
+        gn, cache["s_hat"], cache["var_n"], batch.real, layer.bn_node.gamma
     )
     grads["bn_node.gamma"] = dg_n
     grads["bn_node.beta"] = db_n
@@ -484,37 +444,39 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache,
 
 
 def mlp_head(e_final, params: ModelParams):
-    """Per-edge probability via the MLP over final edge features."""
+    """Per-edge probability via the MLP over final edge features.
+
+    Returns the heat graph and the input of every MLP layer, which
+    _mlp_backward reads.
+    """
+    inputs = []
     z = e_final
     for k, (w, b) in enumerate(zip(params.mlp_weights, params.mlp_biases)):
+        inputs.append(z)
         z = z @ w.T + b
         if k < len(params.mlp_weights) - 1:
             z = np.maximum(z, 0.0)
-    logits = z[..., 0]
-    return _sigmoid(logits), logits
+    return _sigmoid(z[..., 0]), inputs
 
 
-def _mlp_backward(dlogits, e_final, params: ModelParams):
-    """Gradients through the MLP head; recomputes hidden activations."""
-    acts = [e_final]
-    z = e_final
-    for k, (w, b) in enumerate(zip(params.mlp_weights, params.mlp_biases)):
-        z = z @ w.T + b
-        if k < len(params.mlp_weights) - 1:
-            z = np.maximum(z, 0.0)
-        acts.append(z)
-    h = e_final.shape[-1]
+def _mlp_backward(dlogits, inputs, params: ModelParams):
+    """Gradients through the MLP head from the layer inputs mlp_head kept.
+
+    Pops each input off the list once its layer is done, so the edge-sized
+    activations are freed before the conv layers are differentiated.
+    """
+    h = params.config.hidden
     grads_w, grads_b = [], []
     dz = dlogits[..., None]
     for k in reversed(range(len(params.mlp_weights))):
-        a_in = acts[k]
+        a_in = inputs.pop()
         out_dim = params.mlp_weights[k].shape[0]
         flat_dz = dz.reshape(-1, out_dim)
         grads_w.append(flat_dz.T @ a_in.reshape(-1, h))
         grads_b.append(flat_dz.sum(axis=0))
         dz = dz @ params.mlp_weights[k]
         if k > 0:
-            dz = dz * (acts[k] > 0)
+            dz = dz * (a_in > 0)
     return dz, grads_w[::-1], grads_b[::-1]
 
 
@@ -522,8 +484,9 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False,
             update_stats: bool | None = None):
     """Full forward pass: embeddings, conv stack, MLP head.
 
-    Returns the heat graph (B, n, n) of edge probabilities and the cache
-    consumed by loss_and_grads.
+    Returns the heat graph (B, n, n) of edge probabilities and, in training
+    mode, the cache that loss_and_grads consumes; in eval mode the cache is
+    None.
     """
     if batch.n > params.config.n_max:
         raise ShapeMismatch(
@@ -536,16 +499,10 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False,
         if training and not (np.isfinite(x).all() and np.isfinite(e).all()):
             raise NonFiniteActivation("non-finite activation in conv layer")
         layer_caches.append(cache)
-    heat, logits = mlp_head(e, params)
-    cache = {
-        "batch": batch,
-        "layers": layer_caches,
-        "e_final": e,
-        "logits": logits,
-        "heat": heat,
-        "training": training,
-    }
-    return heat, cache
+    heat, mlp_inputs = mlp_head(e, params)
+    if not training:
+        return heat, None
+    return heat, {"batch": batch, "layers": layer_caches, "mlp_inputs": mlp_inputs}
 
 
 def weighted_bce(heat, labels, mask):
@@ -569,23 +526,26 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
     """Weighted BCE and exact gradients for every trainable parameter.
 
     labels and mask are (B, n, n); mask marks ordered real pairs i != j.
-    Returns (loss, grads) where grads is a ModelParams-shaped container
-    aligned with params.named_trainable().
+    cache is the training-mode cache of the forward that produced heat;
+    it is consumed, so it serves one call. Returns (loss, grads) where
+    grads is a ModelParams-shaped container aligned with
+    params.named_trainable().
     """
     loss, w1, w0 = weighted_bce(heat, labels, mask)
     batch: GraphBatch = cache["batch"]
-    training = cache["training"]
 
     p = heat
     inside = mask & (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
     m = int(mask.sum())
     dlogits = np.where(inside, (w0 * (1.0 - labels) * p - w1 * labels * (1.0 - p)) / m, 0.0)
 
-    de, mlp_gw, mlp_gb = _mlp_backward(dlogits, cache["e_final"], params)
-    dx = np.zeros_like(cache["layers"][-1]["x"])
+    # popping the activations frees each one as soon as its gradient is taken
+    de, mlp_gw, mlp_gb = _mlp_backward(dlogits, cache.pop("mlp_inputs"), params)
+    layer_caches = cache.pop("layers")
+    dx = np.zeros_like(layer_caches[-1]["x"])
     layer_grads = []
-    for layer, lcache in zip(reversed(params.layers), reversed(cache["layers"])):
-        dx, de, grads = conv_backward(dx, de, layer, batch, lcache, training)
+    for layer in reversed(params.layers):
+        dx, de, grads = conv_backward(dx, de, layer, batch, layer_caches.pop())
         layer_grads.append(grads)
     layer_grads.reverse()
 

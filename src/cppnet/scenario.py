@@ -9,6 +9,7 @@ small grids.
 """
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,14 +102,12 @@ class GridMap:
         """Raise ValueError if any structural invariant is violated."""
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must be at least 1x1")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
         if not self.in_bounds(self.start):
             raise ValueError(f"start {self.start} outside grid")
         if self.occupancy[self.start[0], self.start[1]]:
             raise ValueError(f"start {self.start} is an obstacle cell")
-        if self.n_free < 2:
-            raise ValueError("need at least 2 free cells")
         if not free_cells_connected(self, connectivity):
             raise ValueError("free cells are not a single connected component")
 
@@ -338,6 +337,8 @@ def dataset_build(
 
 
 def scenario_from_text(text: str) -> GridMap:
+    """Parse one scenario file and validate it under 4-connectivity, the
+    connectivity every CLI verb plans with. Any defect is a ParseError."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty scenario file")
@@ -346,22 +347,30 @@ def scenario_from_text(text: str) -> GridMap:
         raise FormatVersionMismatch(f"bad scenario header: {lines[0]!r}")
     if len(head) != 7:
         raise ParseError(f"scenario header needs 5 fields, got {len(head) - 2}")
-    rows, cols = int(head[2]), int(head[3])
-    cell_size = float(head[4])
-    start = (int(head[5]), int(head[6]))
+    try:
+        rows, cols = int(head[2]), int(head[3])
+        cell_size = float(head[4])
+        start = (int(head[5]), int(head[6]))
+    except ValueError as exc:
+        raise ParseError(f"bad scenario header field: {exc}") from exc
+    if rows < 1 or cols < 1:
+        raise ParseError(f"grid must be at least 1x1, got {rows}x{cols}")
     body = lines[1 : 1 + rows]
     if len(body) != rows:
         raise ParseError(f"expected {rows} grid rows, found {len(body)}")
-    occ = np.zeros((rows, cols), dtype=bool)
     for r, line in enumerate(body):
         if len(line) != cols:
             raise ParseError(f"row {r} has {len(line)} cells, expected {cols}")
         for c, ch in enumerate(line):
-            if ch == "#":
-                occ[r, c] = True
-            elif ch != ".":
+            if ch not in ".#":
                 raise ParseError(f"unknown cell char {ch!r} at ({r}, {c})")
-    return GridMap(rows, cols, cell_size, occ, start)
+    occ = np.array([[ch == "#" for ch in line] for line in body], dtype=bool)
+    grid = GridMap(rows, cols, cell_size, occ, start)
+    try:
+        grid.validate(connectivity=4)
+    except ValueError as exc:
+        raise ParseError(f"invalid scenario: {exc}") from exc
+    return grid
 
 
 def save_scenarios(sset: ScenarioSet, path) -> None:

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from cppnet.cli import main
+from cppnet.model import ModelConfig, init_params, save_checkpoint
 from cppnet.scenario import load_scenarios
 
 
@@ -169,3 +171,22 @@ def test_plot_rejects_mismatched_scenario(tmp_path, capsys):
 
 def test_plot_requires_exactly_one_source(tmp_path, capsys):
     assert run("plot", "--out", str(tmp_path / "x.svg")) == 1
+
+
+
+@pytest.mark.parametrize("grid_rows, reason", [
+    ("#..\n...\n...\n", "obstacle"),       # start cell blocked
+    (".#.\n##.\n...\n", "connected"),      # start cut off from the rest
+])
+def test_solve_invalid_scenario_is_runtime_failure(tmp_path, capsys, grid_rows, reason):
+    scenario = tmp_path / "bad.txt"
+    scenario.write_text("cpp-scenario v1 3 3 1.0 0 0\n" + grid_rows)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(init_params(ModelConfig(hidden=4, conv_layers=1, n_max=16), seed=0), ckpt)
+    code = run("solve", "--scenario", str(scenario), "--model", str(ckpt),
+               "--out", str(tmp_path / "t.traj"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and reason in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.traj").exists()

@@ -153,6 +153,55 @@ def test_empty_set_roundtrip(tmp_path):
     assert len(loaded) == 0
 
 
+def test_nonfinite_cell_size_rejected():
+    for size in ("nan", "inf", "-inf", "0", "-1"):
+        with pytest.raises(ParseError):
+            scenario_from_text(f"cpp-scenario v1 2 2 {size} 0 0\n..\n..\n")
+
+
+def _mutated_body(text, at, ch):
+    head, _, body = text.partition("\n")
+    at %= len(body)
+    return head + "\n" + body[:at] + ch + body[at + 1:]
+
+
+HEADER_FIELD = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.sampled_from(["1.0", "0.5", "nan", "inf", "1e400", "1_0", "x", "\u0663"]),
+    st.text(max_size=3),
+)
+
+SCENARIO_TEXT = st.one_of(
+    st.text(),
+    # well-formed headers with arbitrary fields and bodies
+    st.builds(
+        lambda fields, body: "\n".join(["cpp-scenario v1 " + " ".join(fields)] + body) + "\n",
+        st.lists(HEADER_FIELD, min_size=5, max_size=5),
+        st.lists(st.text(alphabet=".#x ", max_size=5), max_size=6),
+    ),
+    # valid files with one character replaced: blocked starts, split maps
+    st.builds(
+        lambda seed, at, ch: _mutated_body(
+            generate_scenario(4, 4, 1.0, 0.25, seed=seed).to_text(), at, ch
+        ),
+        st.integers(0, 20),
+        st.integers(0, 24),
+        st.sampled_from([".", "#", "x", "\n"]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=SCENARIO_TEXT)
+def test_scenario_from_text_gives_valid_grid_or_parse_error(text):
+    try:
+        grid = scenario_from_text(text)
+    except ParseError:
+        return
+    grid.validate()
+    assert scenario_from_text(grid.to_text()) == grid
+
+
 def test_gridmap_rejects_blocked_start():
     occ = np.zeros((3, 3), dtype=bool)
     occ[0, 0] = True
