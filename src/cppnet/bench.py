@@ -40,8 +40,7 @@ class BenchRecord:
 def solve_two_opt(grid: GridMap, connectivity: int = 4, seed: int = 0) -> Trajectory:
     """Baseline pipeline: cost matrix, nearest-neighbor init, 2-opt, stitch."""
     costs = cost_matrix(grid, connectivity)
-    start_slot = grid.free_cells().index(grid.start)
-    tour = two_opt(costs, start_slot, seed)
+    tour = two_opt(costs, grid.start_slot, seed)
     return stitch(tour, grid, connectivity)
 
 
@@ -211,11 +210,3 @@ def render_boxplot(records) -> str:
                      size=9, anchor="end")
     return doc.to_string()
 
-
-def render(obj, grid: GridMap | None = None) -> str:
-    """Dispatch: a Trajectory (with its map) or a record list to SVG text."""
-    if isinstance(obj, Trajectory):
-        if grid is None:
-            raise ValueError("trajectory rendering needs the grid map")
-        return render_trajectory(obj, grid)
-    return render_boxplot(obj)

@@ -1,11 +1,10 @@
 """Turn an edge-probability heat graph into a feasible coverage trajectory.
 
 Greedy decoding walks the map picking the unvisited cell with the highest
-symmetrized probability inside an expanding local neighborhood; A* then
+symmetrized probability among the nearest unvisited cells; A* then
 stitches consecutive tour cells into a collision-free grid path. The
 decoder covers every free cell for any heat input, including uniform or
-adversarial ones, because the neighborhood radius keeps growing until an
-unvisited cell appears.
+adversarial ones, because some unvisited cell is always the nearest.
 """
 
 import time
@@ -20,7 +19,7 @@ from .fileio import atomic_write_text
 from .graph import ScenarioGraph, encode
 from .model import ModelParams, heat_for_graph
 from .oracle import Tour
-from .scenario import GridMap, neighbor_steps
+from .scenario import GridMap, weighted_steps
 
 TRAJ_HEADER = "cpp-traj v1"
 
@@ -33,13 +32,13 @@ class Trajectory:
     inference_ms: float = 0.0
 
 
-def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, grid: GridMap,
-                  start: int, connectivity: int = 4) -> Tour:
-    """Greedy tour over symmetrized probabilities with expanding neighborhoods.
+def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, start: int,
+                  connectivity: int = 4) -> Tour:
+    """Greedy tour over symmetrized probabilities in the nearest neighborhood.
 
     From the current cell, the unvisited node with the highest
-    (p_ij + p_ji) / 2 within radius r is chosen (ties to the lower slot);
-    r starts at 1 and grows until a candidate exists.
+    (p_ij + p_ji) / 2 is chosen among the unvisited nodes at the smallest
+    radius from it (ties to the lower slot).
     """
     n = graph.n_free
     sym = (heat + heat.T) * 0.5
@@ -47,7 +46,6 @@ def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, grid: GridMap,
     visited[start] = True
     order = [start]
     cells = np.array(graph.slot_cells[:n])
-    max_radius = grid.rows + grid.cols
     current = start
     for _ in range(n - 1):
         cur_cell = cells[current]
@@ -56,15 +54,9 @@ def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, grid: GridMap,
         # Manhattan balls on 4-connected grids, Chebyshev balls on
         # 8-connected ones: radius 1 is exactly the grid neighbors
         radii = dr + dc if connectivity == 4 else np.maximum(dr, dc)
-        chosen = -1
-        for r in range(1, max_radius + 1):
-            candidates = np.flatnonzero(~visited & (radii <= r))
-            if len(candidates):
-                probs = sym[current, candidates]
-                chosen = int(candidates[int(np.argmax(probs))])
-                break
-        if chosen < 0:
-            raise AssertionError("expansion exhausted with unvisited cells left")
+        unvisited = np.flatnonzero(~visited)
+        near = unvisited[radii[unvisited] == radii[unvisited].min()]
+        chosen = int(near[np.argmax(sym[current, near])])
         visited[chosen] = True
         order.append(chosen)
         current = chosen
@@ -81,10 +73,7 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
     if start_cell == goal_cell:
         return [start_cell], 0.0
     size = grid.cell_size
-    steps = [
-        (dr, dc, size * (np.sqrt(2.0) if dr and dc else 1.0))
-        for dr, dc in neighbor_steps(connectivity)
-    ]
+    steps = weighted_steps(connectivity, size)
 
     def heuristic(cell):
         return size * float(np.hypot(cell[0] - goal_cell[0], cell[1] - goal_cell[1]))
@@ -149,8 +138,7 @@ def plan(grid: GridMap, params: ModelParams, connectivity: int = 4) -> Trajector
     t0 = time.perf_counter()
     graph = encode(grid, n_max=grid.n_free, connectivity=connectivity)
     heat = heat_for_graph(graph, params)
-    start_slot = graph.cell_slots[grid.start]
-    tour = greedy_decode(heat, graph, grid, start_slot, connectivity)
+    tour = greedy_decode(heat, graph, grid.start_slot, connectivity)
     traj = stitch(tour, grid, connectivity)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return Trajectory(traj.tour, traj.path, traj.length, elapsed_ms)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, OutOfRange
-from .scenario import GridMap, neighbor_steps
+from .scenario import GridMap, free_cell_edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,41 +29,31 @@ class ScenarioGraph:
         return np.diag(self.indicator) == 2
 
 
-def encode(grid: GridMap, n_max: int, connectivity: int = 4, normalize: bool = False) -> ScenarioGraph:
-    """Encode a grid map into an n_max-slot graph.
-
-    normalize scales coordinates into [0, 1] over the map extent; the
-    default keeps absolute meters.
-    """
-    cells = grid.free_cells()
-    n_free = len(cells)
+def encode(grid: GridMap, n_max: int, connectivity: int = 4) -> ScenarioGraph:
+    """Encode a grid map into an n_max-slot graph; coordinates in meters."""
+    n_free = grid.n_free
     if n_free > n_max:
         raise CapacityExceeded(f"{n_free} free cells exceed capacity {n_max}")
 
-    cell_slots = {cell: i for i, cell in enumerate(cells)}
+    rs, cs = np.nonzero(~grid.occupancy)
     coords = np.zeros((n_max, 2), dtype=np.float64)
-    for i, (r, c) in enumerate(cells):
-        coords[i, 0] = (c + 0.5) * grid.cell_size
-        coords[i, 1] = (r + 0.5) * grid.cell_size
-    if normalize:
-        coords[:n_free, 0] /= grid.cols * grid.cell_size
-        coords[:n_free, 1] /= grid.rows * grid.cell_size
+    coords[:n_free, 0] = (cs + 0.5) * grid.cell_size
+    coords[:n_free, 1] = (rs + 0.5) * grid.cell_size
 
+    i, j, length = free_cell_edges(grid, connectivity)
     indicator = np.zeros((n_max, n_max), dtype=np.int8)
     dist = np.zeros((n_max, n_max), dtype=np.float64)
-    for i, cell in enumerate(cells):
-        indicator[i, i] = 2
-        r, c = cell
-        for dr, dc in neighbor_steps(connectivity):
-            j = cell_slots.get((r + dr, c + dc))
-            if j is not None:
-                indicator[i, j] = 1
-                dist[i, j] = float(np.hypot(*(coords[i] - coords[j])))
+    indicator[i, j] = 1
+    dist[i, j] = length
+    real = np.arange(n_free)
+    indicator[real, real] = 2
 
     coords.setflags(write=False)
     dist.setflags(write=False)
     indicator.setflags(write=False)
-    return ScenarioGraph(n_max, n_free, coords, dist, indicator, tuple(cells), cell_slots)
+    cells = tuple(zip(rs.tolist(), cs.tolist()))
+    cell_slots = dict(zip(cells, range(n_free)))
+    return ScenarioGraph(n_max, n_free, coords, dist, indicator, cells, cell_slots)
 
 
 def decode_node(graph: ScenarioGraph, slot: int) -> tuple[int, int]:

@@ -21,7 +21,7 @@ Conventions:
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -231,16 +231,14 @@ def stack_graphs(graphs: list[ScenarioGraph], dtype=np.float64) -> GraphBatch:
     pair_mask = real[:, :, None] & real[:, None, :] & ~eye
 
     b_idx, i_idx, j_idx = np.nonzero(indicator == 1)
+    # keys are >= 0, so prepending -1 opens a group at the first entry
     row_key = b_idx * n + i_idx
-    if len(row_key):
-        row_starts = np.flatnonzero(np.diff(row_key, prepend=row_key[0] - 1))
-        row_ids = row_key[row_starts]
-        col_perm = np.argsort(b_idx * n + j_idx, kind="stable")
-        col_key = (b_idx * n + j_idx)[col_perm]
-        col_starts = np.flatnonzero(np.diff(col_key, prepend=col_key[0] - 1))
-        col_ids = col_key[col_starts]
-    else:
-        row_starts = row_ids = col_perm = col_starts = col_ids = np.zeros(0, dtype=np.int64)
+    row_starts = np.flatnonzero(np.diff(row_key, prepend=-1))
+    row_ids = row_key[row_starts]
+    col_perm = np.argsort(b_idx * n + j_idx, kind="stable")
+    col_key = (b_idx * n + j_idx)[col_perm]
+    col_starts = np.flatnonzero(np.diff(col_key, prepend=-1))
+    col_ids = col_key[col_starts]
     return GraphBatch(
         coords,
         dist,
@@ -309,9 +307,6 @@ def _gate_forward(e, x, layer: ConvLayer, batch: GraphBatch):
     h = x.shape[-1]
     v = x @ layer.w_neighbor.T
     b_arr, _, j_arr = batch.adj_idx
-    if len(b_arr) == 0:
-        zeros = np.zeros((B, n, h), dtype=x.dtype)
-        return None, np.full((B, n, h), GATE_EPS, dtype=x.dtype), zeros, v, zeros
     sg_vals = _sigmoid(e[batch.adj_idx])
     den = _segment_scatter(sg_vals, batch.row_starts, batch.row_ids, B * n)
     den = den.reshape(B, n, h) + GATE_EPS
@@ -420,23 +415,20 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
 
     # gated aggregation: agg = raw / den, raw = sum_j sg * v_j
     dagg = ds
-    if sg_vals is not None:
-        b_arr, i_arr, j_arr = batch.adj_idx
-        draw = dagg / den
-        dden = -dagg * raw / (den * den)
-        flat_draw = draw.reshape(-1, h)
-        flat_dden = dden.reshape(-1, h)
-        row_flat = b_arr * n + i_arr
-        col_flat = b_arr * n + j_arr
-        dv_vals = sg_vals * flat_draw[row_flat]
-        dv = _segment_scatter(
-            dv_vals[batch.col_perm], batch.col_starts, batch.col_ids, B * n
-        ).reshape(B, n, h)
-        dsg_vals = flat_draw[row_flat] * v.reshape(-1, h)[col_flat] + flat_dden[row_flat]
-        de_vals = dsg_vals * sg_vals * (1.0 - sg_vals)
-        de[batch.adj_idx] += de_vals
-    else:
-        dv = np.zeros_like(dagg)
+    b_arr, i_arr, j_arr = batch.adj_idx
+    draw = dagg / den
+    dden = -dagg * raw / (den * den)
+    flat_draw = draw.reshape(-1, h)
+    flat_dden = dden.reshape(-1, h)
+    row_flat = b_arr * n + i_arr
+    col_flat = b_arr * n + j_arr
+    dv_vals = sg_vals * flat_draw[row_flat]
+    dv = _segment_scatter(
+        dv_vals[batch.col_perm], batch.col_starts, batch.col_ids, B * n
+    ).reshape(B, n, h)
+    dsg_vals = flat_draw[row_flat] * v.reshape(-1, h)[col_flat] + flat_dden[row_flat]
+    de_vals = dsg_vals * sg_vals * (1.0 - sg_vals)
+    de[batch.adj_idx] += de_vals
     grads["w_neighbor"] = dv.reshape(-1, h).T @ flat_x
     dx += dv @ layer.w_neighbor
 
@@ -618,13 +610,31 @@ def save_checkpoint(params: ModelParams, path) -> None:
         raise CheckpointWriteFailure(str(exc)) from exc
 
 
+def _config_from_line(line: bytes) -> ModelConfig:
+    """The checkpoint's JSON config: exactly the ModelConfig fields, each of
+    its declared type and valid. Any defect is a ParseError."""
+    try:
+        cfg = json.loads(line)
+    except ValueError as exc:
+        raise ParseError(f"bad checkpoint config: {exc}") from exc
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
+    if not isinstance(cfg, dict) or set(cfg) != set(kinds):
+        raise ParseError(f"checkpoint config needs exactly the keys {sorted(kinds)}: {line!r}")
+    for key, kind in kinds.items():
+        if type(cfg[key]) is not kind:
+            raise ParseError(f"checkpoint config {key} must be {kind.__name__}: {cfg[key]!r}")
+    try:
+        return ModelConfig(**cfg)
+    except ValueError as exc:
+        raise ParseError(f"invalid checkpoint config: {exc}") from exc
+
+
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
         header = fh.readline().decode().strip()
         if header != CHECKPOINT_HEADER:
             raise FormatVersionMismatch(f"bad checkpoint header: {header!r}")
-        cfg = json.loads(fh.readline().decode())
-        config = ModelConfig(**cfg)
+        config = _config_from_line(fh.readline())
         params = init_params(config, seed=0)
         expected = params.named_trainable() + params.named_running()
         for name, arr in expected:
@@ -634,9 +644,12 @@ def load_checkpoint(path) -> ModelParams:
                 raise ParseError(f"bad tensor header: {line!r}")
             if parts[1] != name:
                 raise ParseError(f"expected tensor {name}, found {parts[1]}")
-            dtype = np.dtype(parts[2])
-            shape = () if parts[3] == "-" else tuple(int(d) for d in parts[3].split(","))
-            nbytes = int(parts[4])
+            try:
+                dtype = np.dtype(parts[2])
+                shape = () if parts[3] == "-" else tuple(int(d) for d in parts[3].split(","))
+                nbytes = int(parts[4])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad tensor header for {name}: {exc}") from exc
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise ParseError(f"tensor {name} truncated")

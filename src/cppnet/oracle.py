@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import FormatVersionMismatch, ParseError, TooLarge
 from .fileio import atomic_write_text
-from .scenario import GridMap, neighbor_steps
+from .scenario import GridMap, free_cell_edges
 
 LABELS_HEADER = "cpp-labels v1"
 
@@ -43,19 +43,9 @@ class Tour:
 
 
 def cost_matrix(grid: GridMap, connectivity: int = 4) -> CostMatrix:
-    cells = grid.free_cells()
-    n = len(cells)
-    slot = {cell: i for i, cell in enumerate(cells)}
-    rows_idx, cols_idx, weights = [], [], []
-    for i, (r, c) in enumerate(cells):
-        for dr, dc in neighbor_steps(connectivity):
-            j = slot.get((r + dr, c + dc))
-            if j is not None:
-                rows_idx.append(i)
-                cols_idx.append(j)
-                step = grid.cell_size * (np.sqrt(2.0) if dr and dc else 1.0)
-                weights.append(step)
-    adj = csr_matrix((weights, (rows_idx, cols_idx)), shape=(n, n))
+    n = grid.n_free
+    i, j, length = free_cell_edges(grid, connectivity)
+    adj = csr_matrix((length, (i, j)), shape=(n, n))
     cost = dijkstra(adj, directed=False)
     if not np.all(np.isfinite(cost)):
         raise AssertionError("free cells unreachable; GridMap invariant violated")
@@ -129,10 +119,9 @@ def two_opt(costs: CostMatrix, start: int = 0, seed: int = 0, restarts: int = 8)
     breaks them toward the lowest slot index, the remaining descents
     perturb them with seed-derived draws (grid cost matrices tie
     constantly, and the tie taken at a junction often decides which
-    2-opt basin the descent lands in). Deterministic given the seed.
+    2-opt basin the descent lands in). Deterministic given the seed. A
+    single node gives the tour (start,) of length 0.
     """
-    if costs.n < 2:
-        raise ValueError("two_opt needs at least 2 nodes")
     cost = costs.cost
     best_order = None
     best_len = np.inf
@@ -170,17 +159,6 @@ def brute_force(costs: CostMatrix, start: int = 0) -> Tour:
             best_len = total
             best_order = (start,) + perm
     return Tour(best_order, float(best_len))
-
-
-def tour_to_labels(tour: Tour, n_max: int) -> np.ndarray:
-    """Symmetric 0/1 matrix marking consecutive tour pairs."""
-    labels = np.zeros((n_max, n_max), dtype=np.float64)
-    order = tour.order
-    for k in range(len(order) - 1):
-        i, j = order[k], order[k + 1]
-        labels[i, j] = 1.0
-        labels[j, i] = 1.0
-    return labels
 
 
 def label_pairs(tour: Tour) -> list[tuple[int, int]]:
@@ -246,8 +224,7 @@ class LabelCache:
                 self._memory[key] = pairs
                 return pairs
         costs = cost_matrix(grid, self.connectivity)
-        start_slot = grid.free_cells().index(grid.start)
-        tour = two_opt(costs, start_slot, self.seed)
+        tour = two_opt(costs, grid.start_slot, self.seed)
         pairs = label_pairs(tour)
         self.store(grid, pairs)
         return pairs

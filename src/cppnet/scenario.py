@@ -10,11 +10,11 @@ small grids.
 
 import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import ConnectivityFailure, FormatVersionMismatch, InvalidDensity, ParseError
 from .fileio import atomic_write_text
@@ -34,6 +34,16 @@ def neighbor_steps(connectivity: int):
     if connectivity == 8:
         return ORTHO_STEPS + DIAG_STEPS
     raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+
+
+def weighted_steps(connectivity: int, cell_size: float):
+    """(dr, dc, length) per neighbour step: the one place that fixes a step's
+    length, cell_size straight and cell_size * sqrt(2) on a diagonal."""
+    diagonal = cell_size * math.sqrt(2.0)
+    return tuple(
+        (dr, dc, diagonal if dr and dc else float(cell_size))
+        for dr, dc in neighbor_steps(connectivity)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +98,12 @@ class GridMap:
         rs, cs = np.nonzero(~self.occupancy)
         return list(zip(rs.tolist(), cs.tolist()))
 
+    @property
+    def start_slot(self) -> int:
+        """Row-major slot of the start cell among the free cells."""
+        r, c = self.start
+        return int(np.count_nonzero(~self.occupancy.reshape(-1)[: r * self.cols + c]))
+
     def neighbors(self, cell, connectivity: int = 4):
         r, c = cell
         for dr, dc in neighbor_steps(connectivity):
@@ -125,22 +141,38 @@ class GridMap:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
 
 
+def free_cell_edges(grid: GridMap, connectivity: int = 4):
+    """Every directed neighbour pair of free cells, as slot arrays (i, j) and
+    the step length of each pair, ordered by i and then by neighbor_steps.
+
+    Slots number the free cells in row-major order. Each step compares the
+    slot grid with a copy of itself shifted by that step.
+    """
+    rows, cols = grid.rows, grid.cols
+    slot = np.full((rows, cols), -1, dtype=np.int64)
+    slot[~grid.occupancy] = np.arange(grid.n_free)
+    src, dst, lengths = [], [], []
+    for dr, dc, length in weighted_steps(connectivity, grid.cell_size):
+        a = slot[max(0, -dr) : rows - max(0, dr), max(0, -dc) : cols - max(0, dc)]
+        b = slot[max(0, dr) : rows + min(0, dr), max(0, dc) : cols + min(0, dc)]
+        both = (a >= 0) & (b >= 0)
+        src.append(a[both])
+        dst.append(b[both])
+        lengths.append(np.full(np.count_nonzero(both), length))
+    i = np.concatenate(src)
+    order = np.argsort(i, kind="stable")
+    return i[order], np.concatenate(dst)[order], np.concatenate(lengths)[order]
+
+
 def free_cells_connected(grid: GridMap, connectivity: int = 4) -> bool:
-    """Flood fill from the start cell; True if it reaches every free cell."""
-    if grid.occupancy[grid.start[0], grid.start[1]]:
+    """True if the start cell is free and every free cell is reachable from it."""
+    if not grid.is_free(grid.start):
         return False
-    seen = np.zeros((grid.rows, grid.cols), dtype=bool)
-    seen[grid.start[0], grid.start[1]] = True
-    queue = deque([grid.start])
-    count = 1
-    while queue:
-        cell = queue.popleft()
-        for nr, nc in grid.neighbors(cell, connectivity):
-            if not seen[nr, nc]:
-                seen[nr, nc] = True
-                count += 1
-                queue.append((nr, nc))
-    return count == grid.n_free
+    structure = np.zeros((3, 3), dtype=bool)
+    for dr, dc in neighbor_steps(connectivity):
+        structure[1 + dr, 1 + dc] = True
+    _, components = ndimage.label(~grid.occupancy, structure)
+    return components == 1
 
 
 def _articulation_cells(free: set, start, connectivity: int) -> set:
@@ -224,6 +256,8 @@ def generate_scenario(
         raise InvalidDensity(f"density {density} outside [0, 0.5]")
     if rows < 2 or cols < 2:
         raise ValueError("rows and cols must be >= 2")
+    if not (0 <= start[0] < rows and 0 <= start[1] < cols):
+        raise ValueError(f"start {start} outside the {rows}x{cols} grid")
     n_cells = rows * cols
     n_obstacles = int(round(density * n_cells))
     candidates = [(r, c) for r in range(rows) for c in range(cols) if (r, c) != start]

@@ -31,9 +31,10 @@ from cppnet.oracle import (
     LabelCache,
     brute_force,
     cost_matrix,
+    label_pairs,
     labels_from_text,
     labels_to_text,
-    tour_to_labels,
+    pairs_to_matrix,
     two_opt,
 )
 from cppnet.scenario import dataset_build, generate_scenario, load_scenarios, save_scenarios
@@ -115,7 +116,7 @@ def test_criterion_1_gradient_correctness(rng):
         graph = encode(grid, n_max)
         batch = stack_graphs([graph])
         start = grid.free_cells().index(grid.start)
-        labels = tour_to_labels(two_opt(cost_matrix(grid), start), n_max)[None]
+        labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid), start)), n_max)[None]
         heat, cache = forward(batch, params, training=True, update_stats=False)
         _, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
 
@@ -179,7 +180,7 @@ def test_criterion_3_coverage_completeness(rng):
         graph = encode(grid, grid.n_free)
         n = grid.n_free
         start = graph.cell_slots[grid.start]
-        labels = tour_to_labels(two_opt(cost_matrix(grid), start), n)
+        labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid), start)), n)
         heats = [
             np.full((n, n), 0.5),
             np.zeros((n, n)),
@@ -190,7 +191,7 @@ def test_criterion_3_coverage_completeness(rng):
         for heat in heats:
             if checked >= 1000:
                 break
-            tour = greedy_decode(heat, graph, grid, start)
+            tour = greedy_decode(heat, graph, start)
             traj = stitch(tour, grid)
             ok = sorted(tour.order) == list(range(n)) and tour.order[0] == start
             for a, b in zip(traj.path, traj.path[1:]):

@@ -6,7 +6,6 @@ from cppnet.bench import (
     load_records,
     records_from_csv,
     records_to_csv,
-    render,
     render_boxplot,
     render_trajectory,
     run_benchmark,
@@ -126,15 +125,6 @@ def test_render_deterministic_bytes():
         record(v, method="learned") for v in (1.5, 2.5, 3.5)
     ]
     assert render_boxplot(records) == render_boxplot(records)
-
-
-def test_render_dispatch():
-    grid = generate_scenario(3, 3, 1.0, 0.0, seed=0)
-    traj = solve_two_opt(grid)
-    assert render(traj, grid).startswith("<?xml")
-    assert render([record(1.0)]).startswith("<?xml")
-    with pytest.raises(ValueError):
-        render(traj)
 
 
 def test_boxplot_contains_each_method():

@@ -190,3 +190,19 @@ def test_solve_invalid_scenario_is_runtime_failure(tmp_path, capsys, grid_rows, 
     assert err.startswith("error:") and reason in err
     assert "Traceback" not in err
     assert not (tmp_path / "t.traj").exists()
+
+
+@pytest.mark.parametrize("old, new", [(b" <f8 ", b" zz! "), (b'"dtype"', b'"dtypo"')])
+def test_solve_malformed_checkpoint_is_runtime_failure(tmp_path, capsys, old, new):
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("cpp-scenario v1 2 2 1.0 0 0\n..\n..\n")
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(init_params(ModelConfig(hidden=4, conv_layers=1, n_max=16), seed=0), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes().replace(old, new, 1))
+    code = run("solve", "--scenario", str(scenario), "--model", str(ckpt),
+               "--out", str(tmp_path / "t.traj"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.traj").exists()

@@ -35,7 +35,7 @@ def test_ground_truth_heat_reproduces_corridor_sweep():
     costs = cost_matrix(grid)
     tour = two_opt(costs, 0)
     heat = pairs_to_matrix(label_pairs(tour), 5)
-    decoded = greedy_decode(heat, graph, grid, 0)
+    decoded = greedy_decode(heat, graph, 0)
     assert decoded.order == (0, 1, 2, 3, 4)
 
 
@@ -43,7 +43,7 @@ def test_uniform_heat_2x2_tie_breaking():
     grid = grid_from_rows(["..", ".."])
     graph = encode(grid, 4)
     heat = np.full((4, 4), 0.5)
-    tour = greedy_decode(heat, graph, grid, 0)
+    tour = greedy_decode(heat, graph, 0)
     cells = [graph.slot_cells[s] for s in tour.order]
     assert cells == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
@@ -58,7 +58,7 @@ def test_trapped_decode_expands_neighborhood():
     forced = [(0, 0), (0, 1), (1, 1), (1, 0)]
     for a, b in zip(forced, forced[1:]):
         heat[graph.cell_slots[a], graph.cell_slots[b]] = 1.0
-    tour = greedy_decode(heat, graph, grid, graph.cell_slots[(0, 0)])
+    tour = greedy_decode(heat, graph, graph.cell_slots[(0, 0)])
     assert sorted(tour.order) == list(range(n))
     cells = [graph.slot_cells[s] for s in tour.order]
     assert cells[:4] == forced
@@ -71,7 +71,7 @@ def test_greedy_covers_under_adversarial_heat():
         graph = encode(grid, grid.n_free)
         n = grid.n_free
         heat = rng.uniform(size=(n, n))
-        tour = greedy_decode(heat, graph, grid, 0)
+        tour = greedy_decode(heat, graph, 0)
         assert sorted(tour.order) == list(range(n))
 
 
@@ -86,7 +86,7 @@ def test_decode_and_stitch_always_cover(map_seed, heat_seed, density):
     graph = encode(grid, grid.n_free)
     n = grid.n_free
     heat = np.random.default_rng(heat_seed).uniform(size=(n, n))
-    tour = greedy_decode(heat, graph, grid, 0)
+    tour = greedy_decode(heat, graph, 0)
     assert sorted(tour.order) == list(range(n))
     traj = stitch(tour, grid)
     seen = set(traj.path)
@@ -184,17 +184,18 @@ def test_plan_capacity_guard():
 def test_trajectory_file_roundtrip(tmp_path):
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
     params = init_params(ModelConfig(hidden=4, conv_layers=1, n_max=25), seed=0)
-    traj = plan(grid, params)
-    path = tmp_path / "out.traj"
-    save_trajectory(traj, grid.content_hash(), path)
-    loaded, loaded_hash = load_trajectory(path)
-    assert loaded_hash == grid.content_hash()
-    assert loaded.tour.order == traj.tour.order
-    assert loaded.path == traj.path
-    assert loaded.length == traj.length
-    assert loaded.inference_ms == traj.inference_ms
-    # rewrite is byte-identical
-    assert trajectory_to_text(loaded, loaded_hash) == path.read_text()
+    for connectivity in (4, 8):
+        traj = plan(grid, params, connectivity)
+        path = tmp_path / f"out{connectivity}.traj"
+        save_trajectory(traj, grid.content_hash(), path)
+        loaded, loaded_hash = load_trajectory(path)
+        assert loaded_hash == grid.content_hash()
+        assert loaded.tour.order == traj.tour.order
+        assert loaded.path == traj.path
+        assert loaded.length == traj.length
+        assert loaded.inference_ms == traj.inference_ms
+        # rewrite is byte-identical
+        assert trajectory_to_text(loaded, loaded_hash) == path.read_text()
 
 
 def test_trajectory_bad_header():

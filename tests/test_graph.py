@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cppnet.errors import CapacityExceeded, OutOfRange
 from cppnet.graph import decode_node, encode
-from cppnet.scenario import generate_scenario
+from cppnet.oracle import cost_matrix
+from cppnet.scenario import GridMap, free_cells_connected, generate_scenario
+
+from conftest import bfs_distances, flood_fill_free
 
 
 def test_unit_grid_adjacent_distances():
@@ -84,16 +89,45 @@ def test_encode_deterministic():
     assert np.array_equal(a.indicator, b.indicator)
 
 
-def test_normalized_coordinates():
-    grid = generate_scenario(4, 8, 2.0, 0.0, seed=0)
-    graph = encode(grid, 32, normalize=True)
-    real = graph.coords[: graph.n_free]
-    assert real.min() > 0.0
-    assert real.max() < 1.0
-
-
 def test_cell_size_scales_distances():
     grid = generate_scenario(3, 3, 2.5, 0.0, seed=0)
     graph = encode(grid, 9)
     nz = graph.dist[graph.dist > 0]
     assert np.allclose(nz, 2.5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    density=st.floats(0.0, 0.6),
+    seed=st.integers(0, 2**31 - 1),
+    connectivity=st.sampled_from([4, 8]),
+    cell_size=st.sampled_from([1.0, 0.3, 2.5]),
+)
+def test_free_cell_graph_matches_oracles(rows, cols, density, seed, connectivity, cell_size):
+    # random occupancy, not necessarily connected, start possibly blocked
+    rng = np.random.default_rng(seed)
+    start = (int(rng.integers(rows)), int(rng.integers(cols)))
+    grid = GridMap(rows, cols, cell_size, rng.random((rows, cols)) < density, start)
+    cells = grid.free_cells()
+    connected = flood_fill_free(grid, connectivity) == set(cells)
+    assert free_cells_connected(grid, connectivity) == connected
+    if grid.is_free(start):
+        assert cells[grid.start_slot] == start
+
+    graph = encode(grid, len(cells) + 1, connectivity)
+    costs = cost_matrix(grid, connectivity) if connected else None
+    # a neighbour is one step away; any two steps are longer than a diagonal
+    one_step = cell_size * np.sqrt(2.0) * (1 + 1e-9)
+    for i, cell in enumerate(cells):
+        assert graph.coords[i] == pytest.approx([(cell[1] + 0.5) * cell_size,
+                                                 (cell[0] + 0.5) * cell_size])
+        reference = bfs_distances(grid, cell, connectivity)
+        for j, other in enumerate(cells):
+            d = reference.get(other, np.inf)
+            adjacent = 0 < d <= one_step
+            assert graph.indicator[i, j] == (2 if i == j else int(adjacent))
+            assert graph.dist[i, j] == pytest.approx(d if adjacent else 0.0, rel=1e-12)
+            if costs is not None:
+                assert costs.cost[i, j] == pytest.approx(d, rel=1e-12, abs=1e-12)

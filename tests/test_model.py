@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from cppnet.model import (
     stack_graphs,
     weighted_bce,
 )
-from cppnet.oracle import cost_matrix, tour_to_labels, two_opt
+from cppnet.oracle import cost_matrix, label_pairs, pairs_to_matrix, two_opt
 from cppnet.scenario import generate_scenario
 
 from conftest import finite_difference_check, randomize_params
@@ -36,7 +38,7 @@ def small_setup(map_seed=3, param_seed=1, hidden=6, layers=2, density=0.2, pad=2
     params = init_params(config, seed=param_seed)
     batch = stack_graphs([graph])
     costs = cost_matrix(grid)
-    labels = tour_to_labels(two_opt(costs, 0), n_max)[None]
+    labels = pairs_to_matrix(label_pairs(two_opt(costs, 0)), n_max)[None]
     return grid, graph, config, params, batch, labels
 
 
@@ -209,7 +211,7 @@ def test_gradients_match_on_eight_connected_graph():
     config = ModelConfig(hidden=4, conv_layers=1, mlp_layers=2, n_max=grid.n_free + 1)
     params = randomize_params(init_params(config, seed=6), np.random.default_rng(1))
     batch = stack_graphs([graph])
-    labels = tour_to_labels(two_opt(cost_matrix(grid, 8), 0), batch.n)[None]
+    labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid, 8), 0)), batch.n)[None]
     heat, cache = forward(batch, params, training=True, update_stats=False)
     _, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
 
@@ -303,6 +305,26 @@ def test_checkpoint_bytes_stable(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"not a checkpoint\n")
+    with pytest.raises(ParseError):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("old, new", [
+    (b" <f8 ", b" zz! "),                            # unparsable tensor dtype
+    (b'"dtype"', b'"dtypo"'),                         # unknown config key
+    (b'"dtype": "float64", ', b""),                   # missing config key
+    (rb"\{.*\}", b"[6]"),                              # config not an object
+    (b'"hidden": 6', b'"hidden": 3'),                 # ModelConfig rejects it
+    (b'"hidden": 6', b'"hidden": "6"'),               # wrong value type
+])
+def test_checkpoint_malformed_is_parse_error(tmp_path, old, new):
+    _, _, _, params, _, _ = small_setup()
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(params, good)
+    data, found = re.subn(old, new, good.read_bytes(), count=1)
+    assert found
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data)
     with pytest.raises(ParseError):
         load_checkpoint(bad)
 

@@ -12,11 +12,10 @@ from cppnet.oracle import (
     nearest_neighbor_tour,
     pairs_to_matrix,
     tour_length,
-    tour_to_labels,
     two_opt,
     Tour,
 )
-from cppnet.scenario import GridMap, generate_scenario
+from cppnet.scenario import GridMap, generate_scenario, scenario_from_text
 
 from conftest import bfs_distances, exhaustive_best_open_path
 
@@ -172,7 +171,7 @@ def test_brute_force_size_guard():
 
 def test_tour_to_labels_counts():
     tour = Tour((0, 1, 2, 3), 3.0)
-    labels = tour_to_labels(tour, 6)
+    labels = pairs_to_matrix(label_pairs(tour), 6)
     assert labels.sum() == 6  # 3 undirected pairs, stored symmetrically
     assert np.array_equal(labels, labels.T)
     row_sums = labels[:4, :4].sum(axis=1)
@@ -180,7 +179,7 @@ def test_tour_to_labels_counts():
 
 
 def test_tour_to_labels_degenerate():
-    assert not tour_to_labels(Tour((0,), 0.0), 4).any()
+    assert not pairs_to_matrix(label_pairs(Tour((0,), 0.0)), 4).any()
 
 
 def test_label_file_roundtrip(tmp_path):
@@ -215,7 +214,15 @@ def test_labels_match_tour_consecutive_pairs():
     grid = generate_scenario(4, 5, 1.0, 0.15, seed=3)
     costs = cost_matrix(grid)
     tour = two_opt(costs, 0)
-    labels = tour_to_labels(tour, costs.n)
+    labels = pairs_to_matrix(label_pairs(tour), costs.n)
     for k in range(len(tour.order) - 1):
         assert labels[tour.order[k], tour.order[k + 1]] == 1.0
     assert labels.sum() == 2 * (costs.n - 1)
+
+
+def test_single_free_cell_scenario_labels(tmp_path):
+    grid = scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n")
+    assert LabelCache(tmp_path).pairs_for(grid) == []
+    # a fresh cache reads the empty label file back from disk
+    assert LabelCache(tmp_path).pairs_for(grid) == []
+    assert two_opt(cost_matrix(grid), 0) == Tour((0,), 0.0)

@@ -55,6 +55,12 @@ def test_invalid_density_rejected():
         generate_scenario(10, 10, 1.0, -0.1, seed=0)
 
 
+@pytest.mark.parametrize("start", [(5, 0), (-1, -1)])
+def test_start_outside_grid_rejected(start):
+    with pytest.raises(ValueError, match="outside"):
+        generate_scenario(4, 4, 1.0, 0.2, seed=0, start=start)
+
+
 def test_high_density_still_connected():
     for seed in range(3):
         grid = generate_scenario(10, 10, 1.0, 0.5, seed=seed)
