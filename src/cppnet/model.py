@@ -12,12 +12,14 @@ normalization statistics and the neighbor-gating quotient; finite
 differences validate it to 1e-4 relative error in the test suite.
 
 Conventions:
-  - Batches stack graphs of equal capacity n: arrays are (B, n, ...),
-    edge tensors (B, n, n, h).
-  - Real slots are identified by indicator diagonal == 2; adjacency by
-    indicator == 1. Padding slots never influence real outputs.
-  - Batch-norm statistics are computed over real nodes and over real
-    ordered pairs (i != j) only, so padding is inert in train mode too.
+  - Batches stack graphs of equal capacity n; real slots (indicator
+    diagonal == 2) come first, adjacency is indicator == 1.
+  - The model computes on real slots only, one block per graph: node
+    features are (N, h) rows and edge features (P, h) rows, graph b
+    owning n_b node rows and its (n_b, n_b) edge block. Padding slots are
+    never computed; their heat is 0.
+  - In training mode, batch-norm statistics are pooled over all blocks:
+    over real nodes and over real ordered pairs (i != j).
 """
 
 import json
@@ -195,27 +197,38 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class GraphBatch:
-    """Stacked scenario graphs plus precomputed adjacency gather plans."""
+    """Stacked scenario graphs, laid out as one block per graph.
 
-    coords: np.ndarray       # (B, n, 2)
-    dist: np.ndarray         # (B, n, n)
-    indicator: np.ndarray    # (B, n, n) float
+    real and pair_mask keep the padded slot layout (B, n) and (B, n, n)
+    that labels and heat maps use. The model computes on real slots only:
+    node features are the rows of one (N, h) array, N = sum of n_b, and
+    edge features the rows of one (P, h) array, P = sum of n_b^2, where
+    graph b owns node rows blocks[b][1] and edge rows blocks[b][2], its
+    (n_b, n_b) block in row-major order. block_mask (B, n, n) marks the
+    padded slots of those edge rows, in the same order.
+    """
+
     real: np.ndarray         # (B, n) bool
     pair_mask: np.ndarray    # (B, n, n) bool: both real, i != j
-    adj_idx: tuple           # (b, i, j) arrays of adjacency entries
-    row_starts: np.ndarray   # reduceat boundaries grouping adj_idx by (b, i)
-    row_ids: np.ndarray      # flat b*n+i id per boundary group
-    col_perm: np.ndarray     # permutation sorting adj_idx by (b, j)
+    block_mask: np.ndarray   # (B, n, n) bool: both real
+    blocks: tuple            # per graph: (n_b, node row slice, edge row slice)
+    coords: np.ndarray       # (N, 2)
+    dist: np.ndarray         # (P,)
+    indicator: np.ndarray    # (P,) float
+    adj_idx: tuple           # (edge row, source node row, target node row) per adjacency
+    row_starts: np.ndarray   # reduceat boundaries grouping adj_idx by source node
+    row_ids: np.ndarray      # source node row per boundary group
+    col_perm: np.ndarray     # permutation sorting adj_idx by target node
     col_starts: np.ndarray
     col_ids: np.ndarray
 
     @property
     def batch_size(self):
-        return self.coords.shape[0]
+        return self.real.shape[0]
 
     @property
     def n(self):
-        return self.coords.shape[1]
+        return self.real.shape[1]
 
 
 def stack_graphs(graphs: list[ScenarioGraph], dtype=np.float64) -> GraphBatch:
@@ -223,39 +236,48 @@ def stack_graphs(graphs: list[ScenarioGraph], dtype=np.float64) -> GraphBatch:
     for g in graphs:
         if g.n_max != n:
             raise ShapeMismatch("all graphs in a batch must share n_max")
-    coords = np.stack([g.coords for g in graphs]).astype(dtype)
-    dist = np.stack([g.dist for g in graphs]).astype(dtype)
-    indicator = np.stack([g.indicator for g in graphs]).astype(dtype)
+    indicator = np.stack([g.indicator for g in graphs])
     real = indicator.diagonal(axis1=1, axis2=2) == 2
-    eye = np.eye(n, dtype=bool)
-    pair_mask = real[:, :, None] & real[:, None, :] & ~eye
+    sizes = real.sum(axis=1)
+    if not np.array_equal(real, np.arange(n) < sizes[:, None]):
+        raise ShapeMismatch("real slots must precede padding slots")
+    block_mask = real[:, :, None] & real[:, None, :]
+    pair_mask = block_mask & ~np.eye(n, dtype=bool)
+    node_starts = np.concatenate([[0], np.cumsum(sizes)])
+    edge_starts = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    blocks = tuple(
+        (int(nb), slice(node_starts[b], node_starts[b + 1]),
+         slice(edge_starts[b], edge_starts[b + 1]))
+        for b, nb in enumerate(sizes)
+    )
 
-    b_idx, i_idx, j_idx = np.nonzero(indicator == 1)
+    b_idx, i_idx, j_idx = np.nonzero((indicator == 1) & pair_mask)
+    src = node_starts[b_idx] + i_idx
+    dst = node_starts[b_idx] + j_idx
+    edge = edge_starts[b_idx] + i_idx * sizes[b_idx] + j_idx
     # keys are >= 0, so prepending -1 opens a group at the first entry
-    row_key = b_idx * n + i_idx
-    row_starts = np.flatnonzero(np.diff(row_key, prepend=-1))
-    row_ids = row_key[row_starts]
-    col_perm = np.argsort(b_idx * n + j_idx, kind="stable")
-    col_key = (b_idx * n + j_idx)[col_perm]
-    col_starts = np.flatnonzero(np.diff(col_key, prepend=-1))
-    col_ids = col_key[col_starts]
+    row_starts = np.flatnonzero(np.diff(src, prepend=-1))
+    col_perm = np.argsort(dst, kind="stable")
+    col_starts = np.flatnonzero(np.diff(dst[col_perm], prepend=-1))
     return GraphBatch(
-        coords,
-        dist,
-        indicator,
         real,
         pair_mask,
-        (b_idx, i_idx, j_idx),
+        block_mask,
+        blocks,
+        np.stack([g.coords for g in graphs]).astype(dtype)[real],
+        np.stack([g.dist for g in graphs]).astype(dtype)[block_mask],
+        indicator[block_mask].astype(dtype),
+        (edge, src, dst),
         row_starts,
-        row_ids,
+        src[row_starts],
         col_perm,
         col_starts,
-        col_ids,
+        dst[col_perm][col_starts],
     )
 
 
 def _segment_scatter(values, starts, ids, out_rows):
-    """Sum contiguous segments of values and scatter them to flat row ids."""
+    """Sum contiguous segments of values and scatter them to row ids."""
     h = values.shape[-1]
     out = np.zeros((out_rows, h), dtype=values.dtype)
     if len(values):
@@ -273,27 +295,35 @@ def _sigmoid(x):
 
 
 def embed_input(batch: GraphBatch, params: ModelParams):
-    """Linear embeddings of node coordinates and (distance, indicator) edges."""
+    """Linear embeddings of node coordinates and (distance, indicator) edges:
+    (N, h) node rows and (P, h) edge rows."""
     h = params.config.hidden
     half = h // 2
     if params.node_weight.shape != (h, 2):
         raise ShapeMismatch(f"node weight shape {params.node_weight.shape} != ({h}, 2)")
     x0 = batch.coords @ params.node_weight.T + params.node_bias
-    B, n = batch.coords.shape[:2]
-    e0 = np.empty((B, n, n, h), dtype=x0.dtype)
-    e0[..., :half] = batch.dist[..., None] * params.dist_weight + params.dist_bias
-    e0[..., half:] = batch.indicator[..., None] * params.indicator_weight
+    e0 = np.empty((len(batch.dist), h), dtype=x0.dtype)
+    e0[:, :half] = batch.dist[:, None] * params.dist_weight + params.dist_bias
+    e0[:, half:] = batch.indicator[:, None] * params.indicator_weight
     return x0, e0
 
 
-def _bn_stats(values, mask, bn: BatchNorm, training: bool, update_stats: bool):
-    """Mean/variance over masked entries (train) or running stats (eval)."""
+def _moments(rows, skip):
+    """Count, mean and summed squared deviation of rows, less the rows of skip."""
+    m = len(rows) - len(skip)
+    mean = (rows.sum(axis=0) - skip.sum(axis=0)) / m
+    m2 = ((rows - mean) ** 2).sum(axis=0) - ((skip - mean) ** 2).sum(axis=0)
+    return m, mean, m2
+
+
+def _bn_stats(parts, bn: BatchNorm, training: bool, update_stats: bool):
+    """Mean/variance pooled over the (count, mean, m2) parts (train) or the
+    running stats (eval). Pooling is Chan's parallel-variance merge."""
     if not training:
         return bn.run_mean, bn.run_var
-    pop = values[mask]
-    m = pop.shape[0]
-    mu = pop.mean(axis=0)
-    var = pop.var(axis=0)
+    m = sum(c for c, _, _ in parts)
+    mu = sum(c * mean for c, mean, _ in parts) / m
+    var = sum(m2 + c * (mean - mu) ** 2 for c, mean, m2 in parts) / m
     if update_stats:
         bn.run_mean[...] = (1 - BN_MOMENTUM) * bn.run_mean + BN_MOMENTUM * mu
         unbiased = var * (m / (m - 1)) if m > 1 else var
@@ -303,23 +333,19 @@ def _bn_stats(values, mask, bn: BatchNorm, training: bool, update_stats: bool):
 
 def _gate_forward(e, x, layer: ConvLayer, batch: GraphBatch):
     """Neighbor aggregation sum_j eta_ij * (W_neighbor x_j) on adjacency entries."""
-    B, n = batch.real.shape
-    h = x.shape[-1]
     v = x @ layer.w_neighbor.T
-    b_arr, _, j_arr = batch.adj_idx
-    sg_vals = _sigmoid(e[batch.adj_idx])
-    den = _segment_scatter(sg_vals, batch.row_starts, batch.row_ids, B * n)
-    den = den.reshape(B, n, h) + GATE_EPS
-    raw = _segment_scatter(
-        sg_vals * v[b_arr, j_arr], batch.row_starts, batch.row_ids, B * n
-    ).reshape(B, n, h)
+    edge, _, dst = batch.adj_idx
+    sg_vals = _sigmoid(e[edge])
+    den = _segment_scatter(sg_vals, batch.row_starts, batch.row_ids, len(x)) + GATE_EPS
+    raw = _segment_scatter(sg_vals * v[dst], batch.row_starts, batch.row_ids, len(x))
     agg = raw / den
     return sg_vals, den, raw, v, agg
 
 
 def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
                  update_stats: bool | None = None):
-    """One residual gated graph-convolution layer.
+    """One residual gated graph-convolution layer on (N, h) node rows and
+    (P, h) edge rows; the edge terms run one graph block at a time.
 
     Returns the next node and edge features plus, in training mode, the
     cache conv_backward reads: the layer inputs, the gate terms, the
@@ -328,157 +354,170 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     """
     if update_stats is None:
         update_stats = training
+    if training and not batch.pair_mask.any():
+        raise DegenerateBatch("no real pair for the edge batch statistics")
     sg_vals, den, raw, v, agg = _gate_forward(e, x, layer, batch)
 
     s = x @ layer.w_self.T + agg
-    mu_n, var_n = _bn_stats(s, batch.real, layer.bn_node, training, update_stats)
+    mu_n, var_n = _bn_stats([_moments(s, s[:0])], layer.bn_node, training, update_stats)
     s_hat = (s - mu_n) / np.sqrt(var_n + BN_EPS)
     y_n = layer.bn_node.gamma * s_hat + layer.bn_node.beta
     x_next = x + np.maximum(y_n, 0.0)
 
-    t = e @ layer.w_edge.T
-    t += (x @ layer.w_source.T)[:, :, None, :]
-    t += (x @ layer.w_target.T)[:, None, :, :]
-    mu_e, var_e = _bn_stats(t, batch.pair_mask, layer.bn_edge, training, update_stats)
-    # normalize in place: t_hat is the largest tensor the cache keeps
-    t -= mu_e
-    t /= np.sqrt(var_e + BN_EPS)
-    y_e = layer.bn_edge.gamma * t + layer.bn_edge.beta
-    e_next = e + np.maximum(y_e, 0.0)
+    h = x.shape[1]
+    source = x @ layer.w_source.T
+    target = x @ layer.w_target.T
+    t = np.empty_like(e)
+    parts = []
+    for nb, nodes, edges in batch.blocks:
+        np.matmul(e[edges], layer.w_edge.T, out=t[edges])
+        block = t[edges].reshape(nb, nb, h)
+        block += source[nodes, None, :]
+        block += target[None, nodes, :]
+        if training and nb > 1:
+            # the diagonal (i == j) is not a pair, so it stays out of the statistics
+            parts.append(_moments(t[edges], t[edges][:: nb + 1]))
+    mu_e, var_e = _bn_stats(parts, layer.bn_edge, training, update_stats)
+    std_e = np.sqrt(var_e + BN_EPS)
+    # eval mode keeps no t_hat, so the next edge features overwrite t
+    e_next = np.empty_like(e) if training else t
+    relu_e = np.empty(e.shape, dtype=bool) if training else None
+    for _, _, edges in batch.blocks:
+        # normalize in place: t_hat is the largest tensor the cache keeps
+        t_hat = t[edges]
+        t_hat -= mu_e
+        t_hat /= std_e
+        y_e = np.multiply(t_hat, layer.bn_edge.gamma, out=e_next[edges])
+        y_e += layer.bn_edge.beta
+        if training:
+            relu_e[edges] = y_e > 0
+        np.maximum(y_e, 0.0, out=y_e)
+        y_e += e[edges]
 
     if not training:
         return x_next, e_next, None
     cache = {
         "x": x, "e": e, "gate": (sg_vals, den, raw, v),
         "mu_n": mu_n, "var_n": var_n, "s_hat": s_hat, "relu_n": y_n > 0,
-        "var_e": var_e, "t_hat": t, "relu_e": y_e > 0,
+        "var_e": var_e, "t_hat": t, "relu_e": relu_e,
     }
     return x_next, e_next, cache
 
 
-def _bn_backward(g, x_hat, var, mask, gamma):
-    """Gradient through y = gamma * x_hat + beta with batch statistics over mask.
-
-    g must be zero outside the mask (no loss path exists there); returns
-    (dx, dgamma, dbeta) with dx zeroed outside the mask.
-    """
-    axes = tuple(range(g.ndim - 1))
-    dgamma = (g * x_hat).sum(axis=axes)
-    dbeta = g.sum(axis=axes)
-    dxh = g * gamma
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    m = int(mask.sum())
-    sum1 = dxh.sum(axis=axes)
-    sum2 = (dxh * x_hat).sum(axis=axes)
-    dx = (dxh - sum1 / m - x_hat * (sum2 / m)) * inv_std
-    return dx * mask[..., None], dgamma, dbeta
+def _bn_backward(g, x_hat, dgamma, dbeta, m, gamma, var):
+    """Input gradient of y = gamma * x_hat + beta under batch statistics over
+    m entries, given the pooled dgamma = sum(g * x_hat) and dbeta = sum(g)."""
+    return gamma / np.sqrt(var + BN_EPS) * (g - dbeta / m - x_hat * (dgamma / m))
 
 
 def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     """Exact gradients of one conv layer from its training-mode cache."""
     x, e = cache["x"], cache["e"]
     sg_vals, den, raw, v = cache["gate"]
-    B, n = batch.real.shape
-    h = x.shape[-1]
-    flat_x = x.reshape(-1, h)
-
+    t_hat, relu_e = cache["t_hat"], cache["relu_e"]
+    h = x.shape[1]
     grads = {}
-    dx = dx_next.copy()
-    de = de_next.copy()
 
-    # edge branch: e_next = e + relu(y_e)
-    ge = de_next * cache["relu_e"]
-    dt, dg_e, db_e = _bn_backward(
-        ge, cache["t_hat"], cache["var_e"], batch.pair_mask, layer.bn_edge.gamma
-    )
+    # edge branch: e_next = e + relu(y_e); the pooled sums come first
+    dg_e = np.zeros(h, dtype=x.dtype)
+    db_e = np.zeros(h, dtype=x.dtype)
+    for _, _, edges in batch.blocks:
+        ge = de_next[edges] * relu_e[edges]
+        dg_e += (ge * t_hat[edges]).sum(axis=0)
+        db_e += ge.sum(axis=0)
+    m_e = int(batch.pair_mask.sum())
+    de = np.empty_like(de_next)
+    dt_i = np.empty_like(x)
+    dt_j = np.empty_like(x)
+    grads["w_edge"] = np.zeros((h, h), dtype=x.dtype)
+    for nb, nodes, edges in batch.blocks:
+        ge = de_next[edges] * relu_e[edges]
+        dt = _bn_backward(ge, t_hat[edges], dg_e, db_e, m_e,
+                          layer.bn_edge.gamma, cache["var_e"])
+        dt[:: nb + 1] = 0.0
+        grads["w_edge"] += dt.T @ e[edges]
+        np.matmul(dt, layer.w_edge, out=de[edges])
+        de[edges] += de_next[edges]
+        dt = dt.reshape(nb, nb, h)
+        dt_i[nodes] = dt.sum(axis=1)
+        dt_j[nodes] = dt.sum(axis=0)
     grads["bn_edge.gamma"] = dg_e
     grads["bn_edge.beta"] = db_e
-    flat_dt = dt.reshape(-1, h)
-    grads["w_edge"] = flat_dt.T @ e.reshape(-1, h)
-    de += dt @ layer.w_edge
-    dt_i = dt.sum(axis=2)
-    dt_j = dt.sum(axis=1)
-    grads["w_source"] = dt_i.reshape(-1, h).T @ flat_x
-    grads["w_target"] = dt_j.reshape(-1, h).T @ flat_x
-    dx += dt_i @ layer.w_source
-    dx += dt_j @ layer.w_target
+    grads["w_source"] = dt_i.T @ x
+    grads["w_target"] = dt_j.T @ x
+    dx = dx_next + dt_i @ layer.w_source + dt_j @ layer.w_target
 
     # node branch: x_next = x + relu(y_n)
     gn = dx_next * cache["relu_n"]
-    ds, dg_n, db_n = _bn_backward(
-        gn, cache["s_hat"], cache["var_n"], batch.real, layer.bn_node.gamma
-    )
+    s_hat = cache["s_hat"]
+    dg_n = (gn * s_hat).sum(axis=0)
+    db_n = gn.sum(axis=0)
+    ds = _bn_backward(gn, s_hat, dg_n, db_n, len(x), layer.bn_node.gamma, cache["var_n"])
     grads["bn_node.gamma"] = dg_n
     grads["bn_node.beta"] = db_n
-    grads["w_self"] = ds.reshape(-1, h).T @ flat_x
+    grads["w_self"] = ds.T @ x
     dx += ds @ layer.w_self
 
     # gated aggregation: agg = raw / den, raw = sum_j sg * v_j
-    dagg = ds
-    b_arr, i_arr, j_arr = batch.adj_idx
-    draw = dagg / den
-    dden = -dagg * raw / (den * den)
-    flat_draw = draw.reshape(-1, h)
-    flat_dden = dden.reshape(-1, h)
-    row_flat = b_arr * n + i_arr
-    col_flat = b_arr * n + j_arr
-    dv_vals = sg_vals * flat_draw[row_flat]
-    dv = _segment_scatter(
-        dv_vals[batch.col_perm], batch.col_starts, batch.col_ids, B * n
-    ).reshape(B, n, h)
-    dsg_vals = flat_draw[row_flat] * v.reshape(-1, h)[col_flat] + flat_dden[row_flat]
-    de_vals = dsg_vals * sg_vals * (1.0 - sg_vals)
-    de[batch.adj_idx] += de_vals
-    grads["w_neighbor"] = dv.reshape(-1, h).T @ flat_x
+    edge, src, dst = batch.adj_idx
+    draw = ds / den
+    dden = -ds * raw / (den * den)
+    dv_vals = sg_vals * draw[src]
+    dv = _segment_scatter(dv_vals[batch.col_perm], batch.col_starts, batch.col_ids, len(x))
+    dsg_vals = draw[src] * v[dst] + dden[src]
+    de[edge] += dsg_vals * sg_vals * (1.0 - sg_vals)
+    grads["w_neighbor"] = dv.T @ x
     dx += dv @ layer.w_neighbor
 
     return dx, de, grads
 
 
-def mlp_head(e_final, params: ModelParams):
-    """Per-edge probability via the MLP over final edge features.
+def mlp_head(e_final, params: ModelParams, batch: GraphBatch):
+    """Per-edge probability via the MLP over final edge rows, block by block.
 
-    Returns the heat graph and the input of every MLP layer, which
+    Returns the (P,) probabilities and the input of every MLP layer, which
     _mlp_backward reads.
     """
-    inputs = []
-    z = e_final
-    for k, (w, b) in enumerate(zip(params.mlp_weights, params.mlp_biases)):
-        inputs.append(z)
-        z = z @ w.T + b
-        if k < len(params.mlp_weights) - 1:
-            z = np.maximum(z, 0.0)
-    return _sigmoid(z[..., 0]), inputs
+    last = len(params.mlp_weights) - 1
+    inputs = [e_final] + [np.empty_like(e_final) for _ in range(last)]
+    heat = np.empty(len(e_final), dtype=e_final.dtype)
+    for _, _, edges in batch.blocks:
+        z = e_final[edges]
+        for k, (w, b) in enumerate(zip(params.mlp_weights, params.mlp_biases)):
+            z = z @ w.T + b
+            if k < last:
+                np.maximum(z, 0.0, out=inputs[k + 1][edges])
+                z = inputs[k + 1][edges]
+        heat[edges] = _sigmoid(z[:, 0])
+    return heat, inputs
 
 
-def _mlp_backward(dlogits, inputs, params: ModelParams):
-    """Gradients through the MLP head from the layer inputs mlp_head kept.
-
-    Pops each input off the list once its layer is done, so the edge-sized
-    activations are freed before the conv layers are differentiated.
-    """
-    h = params.config.hidden
-    grads_w, grads_b = [], []
-    dz = dlogits[..., None]
-    for k in reversed(range(len(params.mlp_weights))):
-        a_in = inputs.pop()
-        out_dim = params.mlp_weights[k].shape[0]
-        flat_dz = dz.reshape(-1, out_dim)
-        grads_w.append(flat_dz.T @ a_in.reshape(-1, h))
-        grads_b.append(flat_dz.sum(axis=0))
-        dz = dz @ params.mlp_weights[k]
-        if k > 0:
-            dz = dz * (a_in > 0)
-    return dz, grads_w[::-1], grads_b[::-1]
+def _mlp_backward(dlogits, inputs, params: ModelParams, batch: GraphBatch):
+    """Gradients through the MLP head from the layer inputs mlp_head kept,
+    block by block; returns the gradient of the final edge rows."""
+    grads_w = [np.zeros_like(w) for w in params.mlp_weights]
+    grads_b = [np.zeros_like(b) for b in params.mlp_biases]
+    de = np.empty_like(inputs[0])
+    for _, _, edges in batch.blocks:
+        dz = dlogits[edges, None]
+        for k in reversed(range(len(params.mlp_weights))):
+            a_in = inputs[k][edges]
+            grads_w[k] += dz.T @ a_in
+            grads_b[k] += dz.sum(axis=0)
+            dz = dz @ params.mlp_weights[k]
+            if k > 0:
+                dz *= a_in > 0
+        de[edges] = dz
+    return de, grads_w, grads_b
 
 
 def forward(batch: GraphBatch, params: ModelParams, training: bool = False,
             update_stats: bool | None = None):
     """Full forward pass: embeddings, conv stack, MLP head.
 
-    Returns the heat graph (B, n, n) of edge probabilities and, in training
-    mode, the cache that loss_and_grads consumes; in eval mode the cache is
-    None.
+    Returns the heat graph (B, n, n) of edge probabilities, 0 on padding
+    slots, and, in training mode, the cache that loss_and_grads consumes;
+    in eval mode the cache is None.
     """
     if batch.n > params.config.n_max:
         raise ShapeMismatch(
@@ -491,7 +530,9 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False,
         if training and not (np.isfinite(x).all() and np.isfinite(e).all()):
             raise NonFiniteActivation("non-finite activation in conv layer")
         layer_caches.append(cache)
-    heat, mlp_inputs = mlp_head(e, params)
+    rows, mlp_inputs = mlp_head(e, params, batch)
+    heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)
+    heat[batch.block_mask] = rows
     if not training:
         return heat, None
     return heat, {"batch": batch, "layers": layer_caches, "mlp_inputs": mlp_inputs}
@@ -532,7 +573,9 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
     dlogits = np.where(inside, (w0 * (1.0 - labels) * p - w1 * labels * (1.0 - p)) / m, 0.0)
 
     # popping the activations frees each one as soon as its gradient is taken
-    de, mlp_gw, mlp_gb = _mlp_backward(dlogits, cache.pop("mlp_inputs"), params)
+    de, mlp_gw, mlp_gb = _mlp_backward(
+        dlogits[batch.block_mask], cache.pop("mlp_inputs"), params, batch
+    )
     layer_caches = cache.pop("layers")
     dx = np.zeros_like(layer_caches[-1]["x"])
     layer_grads = []
@@ -544,12 +587,11 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
     # input embedding backward
     h = params.config.hidden
     half = h // 2
-    g_node_w = dx.reshape(-1, h).T @ batch.coords.reshape(-1, 2)
-    g_node_b = dx.reshape(-1, h).sum(axis=0)
-    de_dist = de[..., :half]
-    g_dist_w = np.einsum("bijh,bij->h", de_dist, batch.dist)
-    g_dist_b = de_dist.sum(axis=(0, 1, 2))
-    g_ind_w = np.einsum("bijh,bij->h", de[..., half:], batch.indicator)
+    g_node_w = dx.T @ batch.coords
+    g_node_b = dx.sum(axis=0)
+    g_dist_w = batch.dist @ de[:, :half]
+    g_dist_b = de[:, :half].sum(axis=0)
+    g_ind_w = batch.indicator @ de[:, half:]
 
     grads = ModelParams(
         params.config,

@@ -187,8 +187,23 @@ def labels_from_text(text: str) -> tuple[str, list[tuple[int, int]]]:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"bad label pair line: {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ParseError(f"bad label pair line: {line!r}") from exc
     return head[2], pairs
+
+
+def _check_label_pairs(pairs, n_free: int, source: str) -> None:
+    """Label pairs of a tour over n_free slots: exactly n_free - 1 distinct
+    pairs i < j, every index in [0, n_free). Any defect is a ParseError."""
+    if len(pairs) != n_free - 1:
+        raise ParseError(f"{source}: {len(pairs)} pairs for {n_free} free cells")
+    if len(set(pairs)) != len(pairs):
+        raise ParseError(f"{source}: duplicate pair")
+    for i, j in pairs:
+        if not 0 <= i < j < n_free:
+            raise ParseError(f"{source}: pair {i} {j} breaks 0 <= i < j < {n_free}")
 
 
 def pairs_to_matrix(pairs, n_max: int) -> np.ndarray:
@@ -221,6 +236,7 @@ class LabelCache:
                 stored_hash, pairs = labels_from_text(path.read_text(encoding="utf-8"))
                 if stored_hash != key:
                     raise ParseError(f"label cache {path} keyed for {stored_hash}, not {key}")
+                _check_label_pairs(pairs, grid.n_free, f"label cache {path}")
                 self._memory[key] = pairs
                 return pairs
         costs = cost_matrix(grid, self.connectivity)

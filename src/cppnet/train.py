@@ -204,8 +204,8 @@ def train(sset: ScenarioSet, config: TrainConfig, model_config: ModelConfig,
             batch, labels = _batch_tensors(
                 [train_graphs[i] for i in idx], [train_pairs[i] for i in idx], n_max, dtype
             )
-            heat, fwd_cache = forward(batch, params, training=True)
             try:
+                heat, fwd_cache = forward(batch, params, training=True)
                 loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, fwd_cache)
             except DegenerateBatch:
                 report.skipped_batches += 1

@@ -206,3 +206,26 @@ def test_solve_malformed_checkpoint_is_runtime_failure(tmp_path, capsys, old, ne
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not (tmp_path / "t.traj").exists()
+
+
+@pytest.mark.parametrize("bad_pair", ["0 500", "-1 3"])
+def test_train_bad_label_cache_is_runtime_failure(tmp_path, capsys, bad_pair):
+    data, labels = tmp_path / "data", tmp_path / "labels"
+    config = tmp_path / "train.cfg"
+    config.write_text(TINY_CONFIG)
+    assert run(
+        "generate", "--count", "4", "--rows", "3", "--cols", "3",
+        "--cell-size", "1", "--density-min", "0", "--density-max", "0.2",
+        "--seed", "5", "--ratios", "0.5,0.5,0", "--out", str(data),
+    ) == 0
+    assert run("label", "--scenarios", str(data), "--out", str(labels)) == 0
+    victim = sorted(labels.glob("*.labels"))[0]
+    lines = victim.read_text().splitlines()
+    victim.write_text("\n".join(lines[:-1] + [bad_pair]) + "\n")
+    capsys.readouterr()
+    code = run("train", "--scenarios", str(data), "--config", str(config),
+               "--labels", str(labels), "--out", str(tmp_path / "ckpt"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and bad_pair in err
+    assert "Traceback" not in err

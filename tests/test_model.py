@@ -25,7 +25,7 @@ from cppnet.model import (
     weighted_bce,
 )
 from cppnet.oracle import cost_matrix, label_pairs, pairs_to_matrix, two_opt
-from cppnet.scenario import generate_scenario
+from cppnet.scenario import generate_scenario, scenario_from_text
 
 from conftest import finite_difference_check, randomize_params
 
@@ -87,11 +87,14 @@ def test_embed_zero_cases():
     params.node_bias[:] = 0.0
     params.dist_bias[:] = 0.0
     x0, e0 = embed_input(batch, params)
-    # padding nodes have zero coordinates -> zero embedding with zero bias
-    pad_slot = batch.n - 1
-    assert np.allclose(x0[0, pad_slot], 0.0)
-    # zero distance and zero indicator -> zero edge embedding
-    assert np.allclose(e0[0, pad_slot, pad_slot], 0.0)
+    # zero bias: every real node embeds its coordinates and nothing else
+    assert x0.shape == (batch.real.sum(), params.config.hidden)
+    assert np.allclose(x0, batch.coords @ params.node_weight.T, rtol=0.0, atol=1e-15)
+    # a non-adjacent real pair has zero distance and zero indicator ->
+    # zero edge embedding
+    apart = batch.pair_mask[batch.block_mask] & (batch.indicator == 0)
+    assert apart.any()
+    assert np.all(e0[apart] == 0.0)
 
 
 def test_embed_linearity():
@@ -105,30 +108,34 @@ def test_embed_linearity():
 
 
 def test_conv_zero_features_stay_zero():
-    _, _, config, params, batch, _ = small_setup()
-    h = config.hidden
-    x = np.zeros((1, batch.n, h))
-    e = np.zeros((1, batch.n, batch.n, h))
+    _, _, _, params, batch, _ = small_setup()
+    x0, e0 = embed_input(batch, params)
+    x, e = np.zeros_like(x0), np.zeros_like(e0)
     x1, e1, _ = conv_forward(x, e, params.layers[0], batch, training=True,
                              update_stats=False)
+    # the outputs hold exactly the real nodes and the real block
+    assert x1.shape == x0.shape and e1.shape == e0.shape
+    assert e1.shape[0] == batch.block_mask.sum()
     assert np.allclose(x1, 0.0)
     assert np.allclose(e1, 0.0)
 
 
 def test_conv_isolated_node_reduces_to_self_term():
-    # padding slots have no neighbors: their update is x + relu(BN(W_self x))
-    _, _, config, params, batch, _ = small_setup()
+    # the node of a one-free-cell map has no neighbors: its update is
+    # x + relu(BN(W_self x)), with statistics pooled over the whole batch
+    _, graph, _, params, _, _ = small_setup()
+    params.layers[0].bn_node.beta[:] = 0.3
+    lone = scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n")
+    batch = stack_graphs([encode(lone, graph.n_max), graph])
     x0, e0 = embed_input(batch, params)
     x1, _, cache = conv_forward(x0, e0, params.layers[0], batch, training=True,
                                 update_stats=False)
     layer = params.layers[0]
-    pad = batch.n - 1
-    s = x0 @ layer.w_self.T  # aggregation is zero for isolated slots
+    s = x0[0] @ layer.w_self.T  # aggregation is zero for the isolated node
     s_hat = (s - cache["mu_n"]) / np.sqrt(cache["var_n"] + BN_EPS)
-    expected = x0[0, pad] + np.maximum(
-        layer.bn_node.gamma * s_hat[0, pad] + layer.bn_node.beta, 0.0
-    )
-    assert np.allclose(x1[0, pad], expected, atol=1e-12)
+    expected = x0[0] + np.maximum(layer.bn_node.gamma * s_hat + layer.bn_node.beta, 0.0)
+    assert not np.allclose(expected, x0[0])
+    assert np.allclose(x1[0], expected, atol=1e-12)
 
 
 def test_forward_eval_deterministic():
@@ -141,8 +148,10 @@ def test_forward_eval_deterministic():
 def test_heat_strictly_inside_unit_interval():
     _, _, _, params, batch, _ = small_setup()
     heat, _ = forward(batch, params, training=False)
-    assert heat.min() > 0.0
-    assert heat.max() < 1.0
+    real = heat[batch.block_mask]
+    assert real.min() > 0.0
+    assert real.max() < 1.0
+    assert np.all(heat[~batch.block_mask] == 0.0)
 
 
 def test_mlp_zero_final_layer_gives_half():
@@ -150,7 +159,8 @@ def test_mlp_zero_final_layer_gives_half():
     params.mlp_weights[-1][...] = 0.0
     params.mlp_biases[-1][...] = 0.0
     heat, _ = forward(batch, params, training=False)
-    assert np.allclose(heat, 0.5)
+    assert np.allclose(heat[batch.block_mask], 0.5)
+    assert np.all(heat[~batch.block_mask] == 0.0)
 
 
 def test_mlp_head_directed_probabilities():
@@ -223,6 +233,58 @@ def test_gradients_match_on_eight_connected_graph():
     assert worst < 1e-4, f"gradient mismatch {worst:.2e} at {where}"
 
 
+def mixed_batch(connectivity, n_max=None):
+    """Three maps of different free-cell counts, padded to one capacity
+    (the largest count unless n_max is given), with their 2-opt labels."""
+    grids = [generate_scenario(3, 3, 1.0, 0.4, seed=2),
+             generate_scenario(3, 3, 1.0, 0.2, seed=3),
+             generate_scenario(3, 4, 1.0, 0.3, seed=5)]
+    sizes = [g.n_free for g in grids]
+    assert len(set(sizes)) == 3
+    n = n_max or max(sizes)
+    batch = stack_graphs([encode(g, n, connectivity) for g in grids])
+    labels = np.stack([
+        pairs_to_matrix(label_pairs(two_opt(cost_matrix(g, connectivity), g.start_slot)), n)
+        for g in grids
+    ])
+    return batch, labels
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_gradients_match_on_mixed_size_batch(connectivity):
+    # batch norm pools its statistics over blocks of unequal size
+    batch, labels = mixed_batch(connectivity)
+    config = ModelConfig(hidden=4, conv_layers=2, mlp_layers=2, n_max=batch.n)
+    params = randomize_params(init_params(config, seed=2), np.random.default_rng(3))
+    heat, cache = forward(batch, params, training=True, update_stats=False)
+    _, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+
+    def loss_fn():
+        h, _ = forward(batch, params, training=True, update_stats=False)
+        return weighted_bce(h, labels, batch.pair_mask)[0]
+
+    worst, where = finite_difference_check(params, loss_fn, grads)
+    assert worst < 1e-4, f"gradient mismatch {worst:.2e} at {where}"
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_mixed_size_batch_independent_of_capacity(connectivity):
+    tight, tight_labels = mixed_batch(connectivity)
+    wide, wide_labels = mixed_batch(connectivity, n_max=2 * tight.n)
+    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=wide.n)
+    params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
+    results = []
+    for batch, labels in ((tight, tight_labels), (wide, wide_labels)):
+        heat, cache = forward(batch, params, training=True, update_stats=False)
+        loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+        results.append((heat[batch.block_mask], loss, grads))
+    (heat_a, loss_a, grads_a), (heat_b, loss_b, grads_b) = results
+    assert np.max(np.abs(heat_a - heat_b)) < 1e-10
+    assert abs(loss_a - loss_b) < 1e-10
+    for (name, ga), (_, gb) in zip(grads_a.named_trainable(), grads_b.named_trainable()):
+        assert np.max(np.abs(ga - gb)) < 1e-10, name
+
+
 def test_permutation_equivariance_eval_mode():
     grid, graph, config, params, batch, _ = small_setup(pad=0)
     heat, _ = forward(batch, params, training=False)
@@ -262,6 +324,20 @@ def test_training_mode_padding_inert_too():
     h1, _ = forward(b1, params, training=True, update_stats=False)
     h2, _ = forward(b2, params, training=True, update_stats=False)
     assert np.max(np.abs(h2[0, :n, :n] - h1[0])) < 1e-10
+
+
+def test_training_forward_without_pairs_is_degenerate():
+    # one-free-cell maps have no pair to take edge statistics over; the
+    # batch is refused before any running statistic moves
+    lone = encode(scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n"), 4)
+    params = init_params(ModelConfig(hidden=4, conv_layers=1, n_max=4), seed=0)
+    before = [arr.copy() for _, arr in params.named_running()]
+    with pytest.raises(DegenerateBatch):
+        forward(stack_graphs([lone, lone]), params, training=True)
+    for (name, arr), old in zip(params.named_running(), before):
+        assert np.array_equal(arr, old), name
+    heat, _ = forward(stack_graphs([lone]), params, training=False)
+    assert 0.0 < heat[0, 0, 0] < 1.0
 
 
 def test_forward_rejects_overcapacity_batch():

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from cppnet.errors import FormatVersionMismatch, TooLarge
+from cppnet.errors import FormatVersionMismatch, ParseError, TooLarge
 from cppnet.oracle import (
     LabelCache,
     brute_force,
@@ -208,6 +210,34 @@ def test_label_cache_reuses_disk(tmp_path):
     assert fresh.pairs_for(grid) == pairs
     matrix = pairs_to_matrix(pairs, 30)
     assert matrix.sum() == 2 * len(pairs)
+
+
+def _unused_pair(pairs, n):
+    return next(p for p in itertools.combinations(range(n), 2) if p not in pairs)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda pairs, n: pairs[:-1] + [(0, 500)],
+    lambda pairs, n: pairs[:-1] + [(-1, 3)],
+    lambda pairs, n: pairs[:-1] + [pairs[-1][::-1]],
+    lambda pairs, n: pairs[:-1] + [(2, 2)],
+    lambda pairs, n: pairs[:-1] + [pairs[0]],
+    lambda pairs, n: pairs[:-1],
+    lambda pairs, n: pairs + [_unused_pair(pairs, n)],
+], ids=["index-past-n_free", "negative-index", "i-after-j", "i-equals-j",
+        "duplicate", "too-few", "too-many"])
+def test_label_cache_rejects_bad_pairs(tmp_path, edit):
+    grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
+    pairs = LabelCache(tmp_path).pairs_for(grid)
+    path = tmp_path / f"{grid.content_hash()}.labels"
+    path.write_text(labels_to_text(grid.content_hash(), edit(pairs, grid.n_free)))
+    with pytest.raises(ParseError):
+        LabelCache(tmp_path).pairs_for(grid)
+
+
+def test_label_file_non_integer_pair():
+    with pytest.raises(ParseError):
+        labels_from_text("cpp-labels v1 deadbeef\n0 x\n")
 
 
 def test_labels_match_tour_consecutive_pairs():
