@@ -5,9 +5,12 @@ length metric (shortest grid-path costs), so length ratios are apples to
 apples. Timing covers encode + forward + decode + stitch for the learned
 method and cost-matrix + nearest-neighbor + 2-opt + stitch for the
 baseline. Sweeps are resumable: records are keyed by scenario hash and
-existing ones are skipped.
+existing ones are skipped. A records file names the sha256 of the
+checkpoint it measured, and only a sweep with that checkpoint resumes it.
 """
 
+import math
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,10 +25,13 @@ from .oracle import cost_matrix, two_opt
 from .scenario import GridMap, ScenarioSet
 from .svg import SvgDocument
 
+RECORDS_HEADER = "cpp-bench-records v2"
 RECORDS_CSV_HEADER = "scenario_hash,density,method,length_m,wall_time_s"
+SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 METHOD_TWO_OPT = "two_opt"
 METHOD_LEARNED = "learned"
+METHODS = (METHOD_TWO_OPT, METHOD_LEARNED)
 
 
 @dataclass(frozen=True)
@@ -98,36 +104,73 @@ def summarize(records) -> dict:
     return out
 
 
-def records_to_csv(records) -> str:
-    lines = [RECORDS_CSV_HEADER]
+def records_to_csv(records, model_sha256: str) -> str:
+    lines = [f"{RECORDS_HEADER} model_sha256 {model_sha256}", RECORDS_CSV_HEADER]
     for r in records:
         lines.append(f"{r.scenario_hash},{r.density!r},{r.method},{r.length_m!r},{r.wall_time_s!r}")
     return "\n".join(lines) + "\n"
 
 
-def records_from_csv(text: str) -> list[BenchRecord]:
+def _record_from_row(line: str) -> BenchRecord:
+    parts = line.split(",")
+    if len(parts) != 5 or not parts[0]:
+        raise ParseError(f"bad records row: {line!r}")
+    key, density, method, length_m, wall_time_s = parts
+    if method not in METHODS:
+        raise ParseError(f"unknown method {method!r} in records row: {line!r}")
+    try:
+        values = [float(v) for v in (density, length_m, wall_time_s)]
+    except ValueError as exc:
+        raise ParseError(f"bad number in records row: {line!r}") from exc
+    if not all(math.isfinite(v) and v >= 0.0 for v in values) or values[0] > 1.0:
+        raise ParseError(f"records row out of range (a density in [0, 1], "
+                         f"lengths and times finite and >= 0): {line!r}")
+    return BenchRecord(key, values[0], method, values[1], values[2])
+
+
+def _parse_records(text: str) -> tuple[str | None, list[BenchRecord]]:
+    """The model sha256 of a v2 file (None for a v1 file, which names no
+    model) and the records, each (scenario, method) at most once."""
     lines = text.splitlines()
+    model = None
+    if lines and lines[0].split()[:2] == RECORDS_HEADER.split():
+        parts = lines[0].split()
+        if len(parts) != 4 or parts[2] != "model_sha256" or not SHA256_HEX.fullmatch(parts[3]):
+            raise ParseError(f"bad records header: {lines[0]!r}")
+        model, lines = parts[3], lines[1:]
     if not lines or lines[0] != RECORDS_CSV_HEADER:
         raise ParseError("bad records CSV header")
-    records = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"bad records row: {line!r}")
-        records.append(
-            BenchRecord(parts[0], float(parts[1]), parts[2], float(parts[3]), float(parts[4]))
-        )
-    return records
+    records = [_record_from_row(line) for line in lines[1:] if line.strip()]
+    if len({(r.scenario_hash, r.method) for r in records}) != len(records):
+        raise ParseError("records name a (scenario, method) pair twice")
+    return model, records
 
 
-def save_records(records, path) -> None:
-    atomic_write_text(path, records_to_csv(records))
+def records_from_csv(text: str) -> list[BenchRecord]:
+    """Records of a v2 or a v1 file."""
+    return _parse_records(text)[1]
+
+
+def save_records(records, path, model_sha256: str) -> None:
+    atomic_write_text(path, records_to_csv(records, model_sha256))
 
 
 def load_records(path) -> list[BenchRecord]:
     return records_from_csv(Path(path).read_text(encoding="utf-8"))
+
+
+def resume_records(path, model_sha256: str) -> list[BenchRecord]:
+    """The records of an earlier sweep with the same checkpoint. A v1 file
+    names no model and a v2 file of another checkpoint would pass its
+    lengths and times off as this one's, so both are refused."""
+    model, records = _parse_records(Path(path).read_text(encoding="utf-8"))
+    if model is None:
+        raise ParseError(f"{path} is a v1 records file and names no model; "
+                         "refusing to resume it")
+    if model != model_sha256:
+        raise ParseError(f"{path} holds records of checkpoint sha256 {model}, "
+                         f"not {model_sha256}; refusing to resume it")
+    return records
 
 
 CELL_PX = 40.0

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from .bench import (
     load_records,
     render_boxplot,
     render_trajectory,
+    resume_records,
     run_benchmark,
     save_records,
 )
@@ -25,7 +27,7 @@ from .oracle import LabelCache
 from .scenario import dataset_build, load_scenarios, save_scenarios
 from .train import TrainConfig, load_config, prepare_labels, train
 
-FORMAT_VERSIONS = "formats: cpp-scenario v1, cpp-scenario-set v1, cpp-labels v1, cpp-traj v1, cpp-checkpoint v1"
+FORMAT_VERSIONS = "formats: cpp-scenario v1, cpp-scenario-set v1, cpp-labels v1, cpp-traj v1, cpp-checkpoint v1, cpp-bench-records v2"
 
 PAPER_RATIOS = (1024 / 1384, 200 / 1384, 160 / 1384)
 
@@ -75,7 +77,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("bench", help="compare learned planner and 2-opt on the test split")
     p.add_argument("--scenarios", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True, help="records CSV (resumed if present)")
+    p.add_argument("--out", required=True, help="records CSV (resumed if present and written with the same checkpoint)")
 
     p = sub.add_parser("plot", help="render records or a trajectory to SVG")
     p.add_argument("--records", default=None, help="records CSV for a box plot")
@@ -155,9 +157,10 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     sset = load_scenarios(args.scenarios)
     params = load_checkpoint(args.model)
-    prior = load_records(args.out) if Path(args.out).is_file() else ()
+    digest = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
+    prior = resume_records(args.out, digest) if Path(args.out).is_file() else ()
     records = run_benchmark(sset, params, prior_records=prior)
-    save_records(records, args.out)
+    save_records(records, args.out, digest)
     print(f"{len(records)} records -> {args.out}")
     return 0
 

@@ -109,16 +109,25 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
 
 
 def stitch(tour: Tour, grid: GridMap, connectivity: int = 4) -> Trajectory:
-    """Join consecutive tour cells with A* shortest paths.
+    """Join consecutive tour cells with shortest grid paths.
 
+    Grid neighbours are joined by their direct step, which is strictly
+    shorter than any other path between them; A* joins the other pairs.
     Segment endpoints are deduplicated; length is the summed segment
     costs, which equals the sum of cost-matrix entries along the tour.
     """
     cells = grid.free_cells()
+    steps = {(dr, dc): length for dr, dc, length in weighted_steps(connectivity, grid.cell_size)}
     path = [cells[tour.order[0]]]
     total = 0.0
     for k in range(len(tour.order) - 1):
-        seg, seg_len = astar(grid, cells[tour.order[k]], cells[tour.order[k + 1]], connectivity)
+        a, b = cells[tour.order[k]], cells[tour.order[k + 1]]
+        step = steps.get((b[0] - a[0], b[1] - a[1]))
+        if step is not None:
+            path.append(b)
+            total += step
+            continue
+        seg, seg_len = astar(grid, a, b, connectivity)
         path.extend(seg[1:])
         total += seg_len
     return Trajectory(Tour(tour.order, total), tuple(path), total)

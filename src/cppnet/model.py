@@ -42,6 +42,10 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 GATE_EPS = 1e-20
 PROB_CLAMP = 1e-7
+# pair rows per eval-mode edge tile: 0.8 MB of float64 features at h = 50,
+# so a tile and its scratch rows stay in a core's L2 cache (2 MB on the
+# machine measured, where 1024-2048 rows ran up to 7% faster than 4096)
+EDGE_TILE_ROWS = 2048
 CHECKPOINT_HEADER = "cpp-checkpoint v1"
 
 
@@ -303,8 +307,9 @@ def embed_input(batch: GraphBatch, params: ModelParams):
         raise ShapeMismatch(f"node weight shape {params.node_weight.shape} != ({h}, 2)")
     x0 = batch.coords @ params.node_weight.T + params.node_bias
     e0 = np.empty((len(batch.dist), h), dtype=x0.dtype)
-    e0[:, :half] = batch.dist[:, None] * params.dist_weight + params.dist_bias
-    e0[:, half:] = batch.indicator[:, None] * params.indicator_weight
+    np.multiply(batch.dist[:, None], params.dist_weight, out=e0[:, :half])
+    e0[:, :half] += params.dist_bias
+    np.multiply(batch.indicator[:, None], params.indicator_weight, out=e0[:, half:])
     return x0, e0
 
 
@@ -342,15 +347,54 @@ def _gate_forward(e, x, layer: ConvLayer, batch: GraphBatch):
     return sg_vals, den, raw, v, agg
 
 
+def _edge_tiles(batch: GraphBatch):
+    """Cache-sized row tiles of the edge blocks: whole source rows of one
+    block, about EDGE_TILE_ROWS pair rows each. Yields the tile's source
+    node rows, its block's node rows and its edge rows."""
+    for nb, nodes, edges in batch.blocks:
+        step = max(1, EDGE_TILE_ROWS // nb)
+        for i in range(0, nb, step):
+            k = min(i + step, nb)
+            yield (slice(nodes.start + i, nodes.start + k), nodes,
+                   slice(edges.start + i * nb, edges.start + k * nb))
+
+
+def _tile_buffer(batch: GraphBatch, h: int, dtype):
+    """Scratch rows for the largest edge tile."""
+    return np.empty((min(len(batch.dist), max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
+
+
+def _edge_update_eval(x, e, layer: ConvLayer, batch: GraphBatch):
+    """Eval-mode edge update in place, e += relu(BN(e W_edge^T + s_i + r_j)),
+    tile by tile. Under running statistics batch norm is the fixed affine map
+    k * t + c, k = gamma / sqrt(var + eps), c = beta - k * mean, so it is
+    folded into the edge weight and the source and target terms."""
+    bn = layer.bn_edge
+    k = bn.gamma / np.sqrt(bn.run_var + BN_EPS)
+    w_edge = layer.w_edge.T * k
+    source = x @ (layer.w_source.T * k) + (bn.beta - k * bn.run_mean)
+    target = x @ (layer.w_target.T * k)
+    h = x.shape[1]
+    buf = _tile_buffer(batch, h, e.dtype)
+    for tile_nodes, nodes, rows in _edge_tiles(batch):
+        t = np.matmul(e[rows], w_edge, out=buf[: rows.stop - rows.start])
+        block = t.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
+        block += source[tile_nodes, None, :]
+        block += target[None, nodes, :]
+        np.maximum(t, 0.0, out=t)
+        e[rows] += t
+
+
 def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
                  update_stats: bool | None = None):
     """One residual gated graph-convolution layer on (N, h) node rows and
-    (P, h) edge rows; the edge terms run one graph block at a time.
+    (P, h) edge rows.
 
     Returns the next node and edge features plus, in training mode, the
     cache conv_backward reads: the layer inputs, the gate terms, the
     normalized pre-activations, the ReLU masks and the batch variances.
-    In eval mode the cache is None.
+    In eval mode the edge rows are updated in place and returned, and the
+    cache is None.
     """
     if update_stats is None:
         update_stats = training
@@ -363,7 +407,11 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     s_hat = (s - mu_n) / np.sqrt(var_n + BN_EPS)
     y_n = layer.bn_node.gamma * s_hat + layer.bn_node.beta
     x_next = x + np.maximum(y_n, 0.0)
+    if not training:
+        _edge_update_eval(x, e, layer, batch)
+        return x_next, e, None
 
+    # training: batch statistics, one graph block at a time
     h = x.shape[1]
     source = x @ layer.w_source.T
     target = x @ layer.w_target.T
@@ -374,14 +422,13 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
         block = t[edges].reshape(nb, nb, h)
         block += source[nodes, None, :]
         block += target[None, nodes, :]
-        if training and nb > 1:
+        if nb > 1:
             # the diagonal (i == j) is not a pair, so it stays out of the statistics
             parts.append(_moments(t[edges], t[edges][:: nb + 1]))
     mu_e, var_e = _bn_stats(parts, layer.bn_edge, training, update_stats)
     std_e = np.sqrt(var_e + BN_EPS)
-    # eval mode keeps no t_hat, so the next edge features overwrite t
-    e_next = np.empty_like(e) if training else t
-    relu_e = np.empty(e.shape, dtype=bool) if training else None
+    e_next = np.empty_like(e)
+    relu_e = np.empty(e.shape, dtype=bool)
     for _, _, edges in batch.blocks:
         # normalize in place: t_hat is the largest tensor the cache keeps
         t_hat = t[edges]
@@ -389,13 +436,10 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
         t_hat /= std_e
         y_e = np.multiply(t_hat, layer.bn_edge.gamma, out=e_next[edges])
         y_e += layer.bn_edge.beta
-        if training:
-            relu_e[edges] = y_e > 0
+        relu_e[edges] = y_e > 0
         np.maximum(y_e, 0.0, out=y_e)
         y_e += e[edges]
 
-    if not training:
-        return x_next, e_next, None
     cache = {
         "x": x, "e": e, "gate": (sg_vals, den, raw, v),
         "mu_n": mu_n, "var_n": var_n, "s_hat": s_hat, "relu_n": y_n > 0,
@@ -472,23 +516,32 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     return dx, de, grads
 
 
-def mlp_head(e_final, params: ModelParams, batch: GraphBatch):
-    """Per-edge probability via the MLP over final edge rows, block by block.
+def mlp_head(e_final, params: ModelParams, batch: GraphBatch, training: bool):
+    """Per-edge probability via the MLP over final edge rows.
 
-    Returns the (P,) probabilities and the input of every MLP layer, which
-    _mlp_backward reads.
+    Returns the (P,) probabilities and, in training mode, the input of
+    every MLP layer, which _mlp_backward reads; the rows run block by
+    block. In eval mode no layer input is kept: the rows run in edge
+    tiles through one scratch buffer, and the inputs are None.
     """
     last = len(params.mlp_weights) - 1
-    inputs = [e_final] + [np.empty_like(e_final) for _ in range(last)]
     heat = np.empty(len(e_final), dtype=e_final.dtype)
-    for _, _, edges in batch.blocks:
-        z = e_final[edges]
+    if training:
+        inputs = [e_final] + [np.empty_like(e_final) for _ in range(last)]
+        chunks = [edges for _, _, edges in batch.blocks]
+    else:
+        inputs = None
+        buf = _tile_buffer(batch, e_final.shape[1], e_final.dtype)
+        chunks = [rows for _, _, rows in _edge_tiles(batch)]
+    for rows in chunks:
+        z = e_final[rows]
         for k, (w, b) in enumerate(zip(params.mlp_weights, params.mlp_biases)):
-            z = z @ w.T + b
-            if k < last:
-                np.maximum(z, 0.0, out=inputs[k + 1][edges])
-                z = inputs[k + 1][edges]
-        heat[edges] = _sigmoid(z[:, 0])
+            hidden = k < last
+            z = np.matmul(z, w.T, out=buf[: len(z)] if hidden and not training else None)
+            z += b
+            if hidden:
+                z = np.maximum(z, 0.0, out=inputs[k + 1][rows] if training else z)
+        heat[rows] = _sigmoid(z[:, 0])
     return heat, inputs
 
 
@@ -530,7 +583,7 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False,
         if training and not (np.isfinite(x).all() and np.isfinite(e).all()):
             raise NonFiniteActivation("non-finite activation in conv layer")
         layer_caches.append(cache)
-    rows, mlp_inputs = mlp_head(e, params, batch)
+    rows, mlp_inputs = mlp_head(e, params, batch, training)
     heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)
     heat[batch.block_mask] = rows
     if not training:

@@ -310,7 +310,7 @@ def test_criterion_7_determinism_and_roundtrips(tmp_path, rng):
         model_cfg = ModelConfig(hidden=6, conv_layers=1, mlp_layers=2, n_max=25)
         trained, _ = train(data, cfg, model_cfg)
         records = run_benchmark(data, trained)
-        save_records(records, out_dir / "records.csv")
+        save_records(records, out_dir / "records.csv", "0" * 64)
         return [
             (r.scenario_hash, r.density, r.method, r.length_m)
             for r in load_records(out_dir / "records.csv")

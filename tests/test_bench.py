@@ -8,6 +8,7 @@ from cppnet.bench import (
     records_to_csv,
     render_boxplot,
     render_trajectory,
+    resume_records,
     run_benchmark,
     save_records,
     solve_two_opt,
@@ -48,20 +49,75 @@ def test_summarize_empty():
         summarize([])
 
 
+MODEL_A = "a" * 64
+MODEL_B = "b" * 64
+ROWS = ["scenario_hash,density,method,length_m,wall_time_s",
+        "a1,0.1,two_opt,12.5,0.003", "a1,0.1,learned,13.0,0.04"]
+
+
 def test_records_csv_roundtrip(tmp_path):
     records = [
         BenchRecord("a1", 0.1, "two_opt", 12.5, 0.003),
         BenchRecord("a1", 0.1, "learned", 13.0, 0.04),
     ]
-    save_records(records, tmp_path / "r.csv")
+    save_records(records, tmp_path / "r.csv", MODEL_A)
     loaded = load_records(tmp_path / "r.csv")
     assert loaded == records
-    assert records_to_csv(loaded) == (tmp_path / "r.csv").read_text()
+    assert records_to_csv(loaded, MODEL_A) == (tmp_path / "r.csv").read_text()
+    assert (tmp_path / "r.csv").read_text().splitlines() == [
+        f"cpp-bench-records v2 model_sha256 {MODEL_A}"] + ROWS
+    assert resume_records(tmp_path / "r.csv", MODEL_A) == records
 
 
 def test_records_csv_rejects_garbage():
     with pytest.raises(ParseError):
         records_from_csv("not,a,header\n")
+
+
+def test_records_v1_is_read_but_never_resumed(tmp_path):
+    # a v1 file names no model: plotting it is fine, resuming it is not
+    (tmp_path / "v1.csv").write_text("\n".join(ROWS) + "\n")
+    assert [r.method for r in load_records(tmp_path / "v1.csv")] == ["two_opt", "learned"]
+    with pytest.raises(ParseError, match="v1"):
+        resume_records(tmp_path / "v1.csv", MODEL_A)
+
+
+def test_records_of_another_model_are_not_resumed(tmp_path):
+    save_records([record(1.0)], tmp_path / "r.csv", MODEL_B)
+    with pytest.raises(ParseError, match=MODEL_B):
+        resume_records(tmp_path / "r.csv", MODEL_A)
+
+
+@pytest.mark.parametrize("header", [
+    "cpp-bench-records v2",                                   # no model
+    "cpp-bench-records v2 model_sha256 xyz",                  # not a sha256
+    f"cpp-bench-records v2 model {'a' * 64}",                 # wrong key
+    f"cpp-bench-records v2 model_sha256 {'a' * 64} extra",
+])
+def test_records_bad_v2_header(header):
+    with pytest.raises(ParseError):
+        records_from_csv("\n".join([header] + ROWS) + "\n")
+
+
+@pytest.mark.parametrize("row", [
+    "a1,0.1,two_opt,nan,0.003",
+    "a1,0.1,two_opt,inf,0.003",
+    "a1,0.1,two_opt,12.5,-0.003",
+    "a1,-0.1,two_opt,12.5,0.003",
+    "a1,1.5,two_opt,12.5,0.003",
+    "a1,0.1,two_opt,12.5,nan",
+    "a1,0.1,two_opt,twelve,0.003",
+    "a1,0.1,greedy,12.5,0.003",                               # unknown method
+    ",0.1,two_opt,12.5,0.003",                                # no scenario
+    "a1,0.1,two_opt,12.5",
+    "a1,0.1,learned,13.0,0.04",                               # duplicate pair
+])
+def test_records_reject_bad_rows(row):
+    text = "\n".join([f"cpp-bench-records v2 model_sha256 {MODEL_A}"] + ROWS + [row]) + "\n"
+    with pytest.raises(ParseError):
+        records_from_csv(text)
+    with pytest.raises(ParseError):                           # v1 files too
+        records_from_csv("\n".join(ROWS + [row]) + "\n")
 
 
 def test_run_benchmark_produces_both_methods():

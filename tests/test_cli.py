@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -121,8 +123,10 @@ def test_full_pipeline_reproducible(tmp_path, capsys):
         "--out", str(records),
     ) == 0
     body = records.read_text().splitlines()
-    assert body[0] == "scenario_hash,density,method,length_m,wall_time_s"
-    assert len(body) == 1 + 2 * len(sset.split("test"))
+    digest = hashlib.sha256((ckpt / "final.ckpt").read_bytes()).hexdigest()
+    assert body[0] == f"cpp-bench-records v2 model_sha256 {digest}"
+    assert body[1] == "scenario_hash,density,method,length_m,wall_time_s"
+    assert len(body) == 2 + 2 * len(sset.split("test"))
 
     # a rerun into a fresh file reproduces everything but wall times
     records2 = tmp_path / "records2.csv"
@@ -132,7 +136,7 @@ def test_full_pipeline_reproducible(tmp_path, capsys):
     ) == 0
 
     def stable_fields(path):
-        rows = path.read_text().splitlines()[1:]
+        rows = path.read_text().splitlines()[2:]
         return [row.split(",")[:4] for row in rows]
 
     assert stable_fields(records) == stable_fields(records2)
@@ -229,3 +233,47 @@ def test_train_bad_label_cache_is_runtime_failure(tmp_path, capsys, bad_pair):
     assert code == 2
     assert err.startswith("error:") and bad_pair in err
     assert "Traceback" not in err
+
+
+def test_bench_resumes_only_its_own_checkpoints_records(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(
+        "generate", "--count", "6", "--rows", "4", "--cols", "4", "--cell-size", "1",
+        "--density-min", "0", "--density-max", "0.3", "--seed", "8",
+        "--ratios", "0.4,0.2,0.4", "--out", str(data),
+    ) == 0
+    models = []
+    for seed in (0, 1):
+        models.append(tmp_path / f"model{seed}.ckpt")
+        config = ModelConfig(hidden=6, conv_layers=1, n_max=16)
+        save_checkpoint(init_params(config, seed=seed), models[-1])
+
+    def bench(model, out):
+        return run("bench", "--scenarios", str(data), "--model", str(model), "--out", str(out))
+
+    records = tmp_path / "records.csv"
+    assert bench(models[0], records) == 0
+    first = records.read_text()
+    assert bench(models[0], records) == 0      # resumed: nothing left to run
+    assert records.read_text() == first
+    capsys.readouterr()
+    # another checkpoint would inherit the first one's lengths and times
+    assert bench(models[1], records) == 2
+    assert "refusing to resume" in capsys.readouterr().err
+    assert records.read_text() == first
+    # a v1 file names no checkpoint: plotted, never resumed
+    v1 = tmp_path / "v1.csv"
+    v1.write_text("\n".join(first.splitlines()[1:]) + "\n")
+    assert bench(models[0], v1) == 2
+    assert "v1" in capsys.readouterr().err
+    assert run("plot", "--records", str(v1), "--out", str(tmp_path / "v1.svg")) == 0
+
+
+@pytest.mark.parametrize("row", ["a1,0.1,two_opt,nan,0.003", "a1,0.1,two_opt,12.5,-1.0",
+                                 "a1,0.1,greedy,12.5,0.003"])
+def test_plot_rejects_bad_records(tmp_path, capsys, row):
+    records = tmp_path / "records.csv"
+    records.write_text(f"scenario_hash,density,method,length_m,wall_time_s\n{row}\n")
+    assert run("plot", "--records", str(records), "--out", str(tmp_path / "box.svg")) == 2
+    assert "records row" in capsys.readouterr().err
+    assert not (tmp_path / "box.svg").exists()

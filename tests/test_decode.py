@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cppnet import decode
 from cppnet.decode import (
     astar,
     greedy_decode,
@@ -127,6 +128,36 @@ def test_stitched_length_matches_cost_matrix():
         for a, b in zip(traj.path, traj.path[1:]):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
             assert grid.is_free(a) and grid.is_free(b)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_stitch_steps_directly_between_neighbours(connectivity, monkeypatch):
+    # A* runs only for segments whose cells are not grid neighbours, and the
+    # result equals joining every segment with A*
+    calls = []
+    monkeypatch.setattr(decode, "astar", lambda *a: calls.append(a) or astar(*a))
+    rng = np.random.default_rng(connectivity)
+    segments = direct = 0
+    for seed in range(6):
+        grid = generate_scenario(5, 6, 0.5 + seed, 0.3, seed=seed)
+        cells = grid.free_cells()
+        order = [grid.start_slot] + [int(s) for s in rng.permutation(grid.n_free)
+                                     if s != grid.start_slot]
+        calls.clear()
+        traj = stitch(Tour(tuple(order)), grid, connectivity)
+        path, length = [cells[order[0]]], 0.0
+        far = 0
+        for a, b in zip(order, order[1:]):
+            seg, seg_len = astar(grid, cells[a], cells[b], connectivity)
+            path += seg[1:]
+            length += seg_len
+            far += len(seg) > 2
+        assert list(traj.path) == path
+        assert traj.length == length
+        assert len(calls) == far
+        segments += len(order) - 1
+        direct += len(order) - 1 - far
+    assert 0 < direct < segments
 
 
 def test_stitch_eight_connected():

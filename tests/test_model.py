@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,49 @@ def test_mixed_size_batch_independent_of_capacity(connectivity):
     assert abs(loss_a - loss_b) < 1e-10
     for (name, ga), (_, gb) in zip(grads_a.named_trainable(), grads_b.named_trainable()):
         assert np.max(np.abs(ga - gb)) < 1e-10, name
+
+
+def test_eval_batch_norm_folds_running_statistics():
+    # with the running statistics set to the batch statistics a training
+    # forward used, the folded eval forward must give the training heat
+    tight, _ = mixed_batch(4)
+    batch, _ = mixed_batch(4, n_max=tight.n + 3)
+    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=batch.n)
+    params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
+    train_heat, cache = forward(batch, params, training=True, update_stats=False)
+    for layer, lc in zip(params.layers, cache["layers"]):
+        layer.bn_node.run_mean[...] = lc["mu_n"]
+        layer.bn_node.run_var[...] = lc["var_n"]
+        x, e = lc["x"], lc["e"]
+        pairs = []
+        for nb, nodes, edges in batch.blocks:
+            t = (e[edges] @ layer.w_edge.T).reshape(nb, nb, -1) \
+                + (x[nodes] @ layer.w_source.T)[:, None] + (x[nodes] @ layer.w_target.T)[None]
+            pairs.append(t[~np.eye(nb, dtype=bool)])
+        pairs = np.concatenate(pairs)
+        layer.bn_edge.run_mean[...] = pairs.mean(axis=0)
+        layer.bn_edge.run_var[...] = pairs.var(axis=0)
+        assert np.allclose(layer.bn_edge.run_var, lc["var_e"], rtol=1e-12, atol=0.0)
+    eval_heat, _ = forward(batch, params, training=False)
+    diff = np.abs(eval_heat - train_heat)[batch.block_mask]
+    assert diff.max() < 1e-12
+
+
+def test_eval_forward_peak_memory_is_about_one_edge_array():
+    # the eval forward updates the edge rows in place, tile by tile, and the
+    # MLP head keeps no layer input: its peak stays near one (P, h) array
+    grid = generate_scenario(12, 12, 1.0, 0.0, seed=0)
+    config = ModelConfig(n_max=grid.n_free)
+    params = init_params(config, seed=0)
+    graph = encode(grid, grid.n_free)
+    edge_bytes = grid.n_free ** 2 * config.hidden * np.dtype(config.np_dtype).itemsize
+    tracemalloc.start()
+    try:
+        heat_for_graph(graph, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
 
 
 def test_permutation_equivariance_eval_mode():
