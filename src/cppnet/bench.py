@@ -51,10 +51,12 @@ def solve_two_opt(grid: GridMap, connectivity: int = 4, seed: int = 0) -> Trajec
 
 
 def run_benchmark(sset: ScenarioSet, params: ModelParams, connectivity: int = 4,
-                  seed: int = 0, prior_records=(), log=None) -> list[BenchRecord]:
+                  seed: int = 0, prior_records=(), on_failure=None) -> list[BenchRecord]:
     """Both methods on every test-split scenario, skipping recorded hashes.
 
-    A failure on one scenario is reported and skipped; the sweep carries on.
+    A CppnetError ends that scenario's turn and goes to
+    on_failure(scenario_hash, exc); the records made so far are kept and
+    the sweep carries on.
     """
     records = list(prior_records)
     done = {(r.scenario_hash, r.method) for r in records}
@@ -72,11 +74,9 @@ def run_benchmark(sset: ScenarioSet, params: ModelParams, connectivity: int = 4,
                 records.append(
                     BenchRecord(key, density, METHOD_LEARNED, traj.length, traj.inference_ms / 1e3)
                 )
-            if log:
-                log(f"benchmarked {key}")
         except CppnetError as exc:
-            if log:
-                log(f"scenario {key} failed: {exc}")
+            if on_failure:
+                on_failure(key, exc)
     return records
 
 

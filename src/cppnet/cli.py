@@ -27,7 +27,7 @@ from .oracle import LabelCache
 from .scenario import dataset_build, load_scenarios, save_scenarios
 from .train import TrainConfig, load_config, prepare_labels, train
 
-FORMAT_VERSIONS = "formats: cpp-scenario v1, cpp-scenario-set v1, cpp-labels v1, cpp-traj v1, cpp-checkpoint v1, cpp-bench-records v2"
+FORMAT_VERSIONS = "formats: cpp-scenario v1, cpp-scenario-set v1, cpp-labels v2, cpp-traj v1, cpp-checkpoint v1, cpp-bench-records v2"
 
 PAPER_RATIOS = (1024 / 1384, 200 / 1384, 160 / 1384)
 
@@ -159,10 +159,16 @@ def cmd_bench(args) -> int:
     params = load_checkpoint(args.model)
     digest = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
     prior = resume_records(args.out, digest) if Path(args.out).is_file() else ()
-    records = run_benchmark(sset, params, prior_records=prior)
+    failed = []
+
+    def report(key, exc):
+        failed.append(key)
+        print(f"error: scenario {key} failed: {exc}", file=sys.stderr)
+
+    records = run_benchmark(sset, params, prior_records=prior, on_failure=report)
     save_records(records, args.out, digest)
     print(f"{len(records)} records -> {args.out}")
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_plot(args) -> int:

@@ -19,7 +19,10 @@ from .errors import FormatVersionMismatch, ParseError, TooLarge
 from .fileio import atomic_write_text
 from .scenario import GridMap, free_cell_edges
 
-LABELS_HEADER = "cpp-labels v1"
+LABELS_HEADER = "cpp-labels v2"
+LABELS_V1_HEADER = "cpp-labels v1"
+# a v1 header names no settings: its labels were made under these
+LABELS_V1_SETTINGS = ["seed", "0", "connectivity", "4", "restarts", "8"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,19 +170,29 @@ def label_pairs(tour: Tour) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def labels_to_text(scenario_hash: str, pairs) -> str:
-    lines = [f"{LABELS_HEADER} {scenario_hash}"]
+def labels_to_text(scenario_hash: str, pairs, seed: int = 0, connectivity: int = 4,
+                   restarts: int = 8) -> str:
+    lines = [f"{LABELS_HEADER} {scenario_hash} seed {seed} connectivity {connectivity} "
+             f"restarts {restarts}"]
     lines.extend(f"{i} {j}" for i, j in pairs)
     return "\n".join(lines) + "\n"
 
 
-def labels_from_text(text: str) -> tuple[str, list[tuple[int, int]]]:
+def labels_from_text(text: str, seed: int = 0, connectivity: int = 4,
+                     restarts: int = 8) -> tuple[str, list[tuple[int, int]]]:
+    """Scenario hash and pairs of a labels file whose 2-opt ran under the
+    given settings; labels made under other settings are a ParseError."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty labels file")
     head = lines[0].split()
-    if len(head) != 3 or " ".join(head[:2]) != LABELS_HEADER:
+    if " ".join(head[:2]) == LABELS_V1_HEADER and len(head) == 3:
+        head = LABELS_HEADER.split() + head[2:] + LABELS_V1_SETTINGS
+    want = ["seed", str(seed), "connectivity", str(connectivity), "restarts", str(restarts)]
+    if " ".join(head[:2]) != LABELS_HEADER or len(head) != 9 or head[3::2] != want[::2]:
         raise FormatVersionMismatch(f"bad labels header: {lines[0]!r}")
+    if head[3:] != want:
+        raise ParseError(f"labels made with {' '.join(head[3:])}, not {' '.join(want)}")
     pairs = []
     for line in lines[1:]:
         if not line.strip():
@@ -215,12 +228,13 @@ def pairs_to_matrix(pairs, n_max: int) -> np.ndarray:
 
 
 class LabelCache:
-    """Disk cache of 2-opt label pairs keyed by scenario content hash."""
+    """Disk cache of 2-opt label pairs, one file per scenario content hash.
+    Each file names the seed, connectivity and restarts its 2-opt ran
+    under; a file made under other settings is refused, never reused."""
 
-    def __init__(self, cache_dir, seed: int = 0, connectivity: int = 4):
+    def __init__(self, cache_dir, seed: int = 0, connectivity: int = 4, restarts: int = 8):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.seed = seed
-        self.connectivity = connectivity
+        self.settings = (seed, connectivity, restarts)
         self._memory: dict[str, list[tuple[int, int]]] = {}
 
     def _path(self, scenario_hash: str) -> Path:
@@ -233,14 +247,15 @@ class LabelCache:
         if self.cache_dir is not None:
             path = self._path(key)
             if path.is_file():
-                stored_hash, pairs = labels_from_text(path.read_text(encoding="utf-8"))
+                stored_hash, pairs = labels_from_text(path.read_text(encoding="utf-8"),
+                                                      *self.settings)
                 if stored_hash != key:
                     raise ParseError(f"label cache {path} keyed for {stored_hash}, not {key}")
                 _check_label_pairs(pairs, grid.n_free, f"label cache {path}")
                 self._memory[key] = pairs
                 return pairs
-        costs = cost_matrix(grid, self.connectivity)
-        tour = two_opt(costs, grid.start_slot, self.seed)
+        seed, connectivity, restarts = self.settings
+        tour = two_opt(cost_matrix(grid, connectivity), grid.start_slot, seed, restarts)
         pairs = label_pairs(tour)
         self.store(grid, pairs)
         return pairs
@@ -251,4 +266,4 @@ class LabelCache:
         if self.cache_dir is not None:
             path = self._path(key)
             if not path.is_file():
-                atomic_write_text(path, labels_to_text(key, pairs))
+                atomic_write_text(path, labels_to_text(key, pairs, *self.settings))

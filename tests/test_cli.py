@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cppnet.bench import load_records
 from cppnet.cli import main
 from cppnet.model import ModelConfig, init_params, save_checkpoint
 from cppnet.scenario import load_scenarios
@@ -267,6 +268,29 @@ def test_bench_resumes_only_its_own_checkpoints_records(tmp_path, capsys):
     assert bench(models[0], v1) == 2
     assert "v1" in capsys.readouterr().err
     assert run("plot", "--records", str(v1), "--out", str(tmp_path / "v1.svg")) == 0
+
+
+def test_bench_reports_failed_scenarios(tmp_path, capsys):
+    # 5x5 maps of at most 20% obstacles have 20 or more free cells, more
+    # than the checkpoint's n_max of 16: every learned plan fails
+    data = tmp_path / "data"
+    assert run(
+        "generate", "--count", "3", "--rows", "5", "--cols", "5", "--cell-size", "1",
+        "--density-min", "0", "--density-max", "0.2", "--seed", "4",
+        "--ratios", "0,0,1", "--out", str(data),
+    ) == 0
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(init_params(ModelConfig(hidden=4, conv_layers=1, n_max=16), seed=0), ckpt)
+    records = tmp_path / "records.csv"
+    capsys.readouterr()
+    code = run("bench", "--scenarios", str(data), "--model", str(ckpt), "--out", str(records))
+    captured = capsys.readouterr()
+    assert code == 2
+    failures = [line for line in captured.err.splitlines() if line.startswith("error: scenario")]
+    assert len(failures) == 3 and all("capacity 16" in line for line in failures)
+    assert "Traceback" not in captured.err
+    # the baseline rows that succeeded are saved
+    assert [r.method for r in load_records(records)] == ["two_opt"] * 3
 
 
 @pytest.mark.parametrize("row", ["a1,0.1,two_opt,nan,0.003", "a1,0.1,two_opt,12.5,-1.0",

@@ -1,9 +1,11 @@
+import copy
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cppnet import model
 from cppnet.errors import (
     DegenerateBatch,
     NonFiniteActivation,
@@ -286,6 +288,34 @@ def test_mixed_size_batch_independent_of_capacity(connectivity):
         assert np.max(np.abs(ga - gb)) < 1e-10, name
 
 
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_training_step_independent_of_tile_size(connectivity, monkeypatch):
+    # tiles of one source row, ragged tiles (20 rows: 4 of the 5-node
+    # block's rows, 2 of the 7-node block's) and one tile per block must
+    # give the same loss, gradients and running statistics
+    batch, labels = mixed_batch(connectivity)
+    sizes = sorted(nb for nb, _, _ in batch.blocks)
+    assert sizes == [5, 7, 8]
+    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=batch.n)
+    seeded = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
+
+    def step(tile_rows):
+        monkeypatch.setattr(model, "EDGE_TILE_ROWS", tile_rows)
+        params = copy.deepcopy(seeded)
+        heat, cache = forward(batch, params, training=True)
+        loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+        return heat, loss, grads.named_trainable(), params.named_running()
+
+    ref_heat, ref_loss, ref_grads, ref_running = step(model.EDGE_TILE_ROWS)
+    for tile_rows in (1, 20, 10**6):
+        heat, loss, grads, running = step(tile_rows)
+        assert np.abs(heat - ref_heat).max() <= 1e-12
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for (name, got), (_, want) in zip(grads + running, ref_grads + ref_running):
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-3), \
+                (tile_rows, name)
+
+
 def test_eval_batch_norm_folds_running_statistics():
     # with the running statistics set to the batch statistics a training
     # forward used, the folded eval forward must give the training heat
@@ -395,6 +425,23 @@ def test_forward_rejects_overcapacity_batch():
 def test_non_finite_activation_detected():
     _, _, _, params, batch, _ = small_setup()
     params.layers[0].w_self[0, 0] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteActivation):
+            forward(batch, params, training=True)
+
+
+@pytest.mark.parametrize("where", ["w_edge", "overflow"])
+def test_non_finite_edge_activation_detected(where):
+    # an infinite edge weight, and finite batch-norm parameters whose edge
+    # update overflows: k * t_c reaches 1e307 where t_c passes one standard
+    # deviation, and beta + 1e307 exceeds the float64 range
+    _, _, _, params, batch, _ = small_setup()
+    layer = params.layers[0]
+    if where == "overflow":
+        layer.bn_edge.gamma[:] = 1e307
+        layer.bn_edge.beta[:] = 1.7e308
+    else:
+        layer.w_edge[0, 0] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NonFiniteActivation):
             forward(batch, params, training=True)

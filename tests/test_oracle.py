@@ -212,6 +212,54 @@ def test_label_cache_reuses_disk(tmp_path):
     assert matrix.sum() == 2 * len(pairs)
 
 
+def test_label_file_names_its_settings(tmp_path):
+    grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
+    LabelCache(tmp_path, seed=3, connectivity=8, restarts=2).pairs_for(grid)
+    head = (tmp_path / f"{grid.content_hash()}.labels").read_text().splitlines()[0]
+    assert head == f"cpp-labels v2 {grid.content_hash()} seed 3 connectivity 8 restarts 2"
+    assert LabelCache(tmp_path, seed=3, connectivity=8, restarts=2).pairs_for(grid)
+
+
+@pytest.mark.parametrize("settings", [
+    {"seed": 1}, {"connectivity": 8}, {"restarts": 2},
+], ids=["seed", "connectivity", "restarts"])
+def test_label_cache_refuses_labels_of_other_settings(tmp_path, settings):
+    grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
+    LabelCache(tmp_path).pairs_for(grid)
+    with pytest.raises(ParseError, match="labels made with seed 0 connectivity 4 restarts 8"):
+        LabelCache(tmp_path, **settings).pairs_for(grid)
+
+
+@pytest.mark.parametrize("settings", [
+    {}, {"seed": 1}, {"connectivity": 8}, {"restarts": 2},
+], ids=["defaults", "seed", "connectivity", "restarts"])
+def test_label_cache_reads_v1_only_under_its_settings(tmp_path, settings):
+    # a v1 file names no settings; it was written with seed 0,
+    # 4-connectivity and 8 restarts
+    grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
+    pairs = label_pairs(two_opt(cost_matrix(grid), grid.start_slot))
+    path = tmp_path / f"{grid.content_hash()}.labels"
+    path.write_text(f"cpp-labels v1 {grid.content_hash()}\n"
+                    + "".join(f"{i} {j}\n" for i, j in pairs))
+    cache = LabelCache(tmp_path, **settings)
+    if settings:
+        with pytest.raises(ParseError):
+            cache.pairs_for(grid)
+    else:
+        assert cache.pairs_for(grid) == pairs
+    assert path.read_text().startswith("cpp-labels v1 ")
+
+
+@pytest.mark.parametrize("head", [
+    "cpp-labels v2 deadbeef seed 0 connectivity 4",
+    "cpp-labels v2 deadbeef seed 0 connectivity 4 restart 8",
+    "cpp-labels v1 deadbeef seed 0 connectivity 4 restarts 8",
+])
+def test_label_file_malformed_v2_header(head):
+    with pytest.raises(FormatVersionMismatch):
+        labels_from_text(head + "\n0 1\n")
+
+
 def _unused_pair(pairs, n):
     return next(p for p in itertools.combinations(range(n), 2) if p not in pairs)
 
