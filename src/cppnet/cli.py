@@ -160,14 +160,12 @@ def cmd_bench(args) -> int:
     digest = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
     prior = resume_records(args.out, digest) if Path(args.out).is_file() else ()
     failed = []
-
-    def report(key, exc):
-        failed.append(key)
-        print(f"error: scenario {key} failed: {exc}", file=sys.stderr)
-
-    records = run_benchmark(sset, params, prior_records=prior, on_failure=report)
+    records = run_benchmark(sset, params, prior_records=prior,
+                            on_failure=lambda key, exc: failed.append((key, exc)))
     save_records(records, args.out, digest)
     print(f"{len(records)} records -> {args.out}")
+    for key, exc in failed:
+        print(f"error: scenario {key} failed: {exc}", file=sys.stderr)
     return 2 if failed else 0
 
 

@@ -19,12 +19,8 @@ Conventions:
     owning n_b node rows and its (n_b, n_b) edge block. Padding slots are
     never computed; their heat is 0.
   - In training mode, batch-norm statistics are pooled over all blocks:
-    over real nodes and over real ordered pairs (i != j). The edge work runs
-    in cache-sized tiles of whole source rows (_edge_tiles): one sweep sums
-    the pre-activations t less the diagonal rows, one centres t in place on
-    the pooled mean and sums its squares, one writes e + relu(k t_c + beta),
-    k = gamma / sqrt(var + eps). The cache keeps the centred pre-activations
-    t_c, which the backward pass reads in the same tiles.
+    over real nodes and over real ordered pairs (i != j), summed over
+    cache-sized edge tiles; the cache keeps the centred pre-activations.
 """
 
 import json
@@ -319,8 +315,7 @@ def embed_input(batch: GraphBatch, params: ModelParams):
 
 
 def _update_running(bn: BatchNorm, mean, var, m: int) -> None:
-    """Momentum update of the running statistics from the batch mean and
-    biased variance over m entries; the running variance is unbiased."""
+    """Momentum update from the batch mean and biased variance over m entries."""
     bn.run_mean[...] = (1 - BN_MOMENTUM) * bn.run_mean + BN_MOMENTUM * mean
     unbiased = var * (m / (m - 1)) if m > 1 else var
     bn.run_var[...] = (1 - BN_MOMENTUM) * bn.run_var + BN_MOMENTUM * unbiased
@@ -352,12 +347,6 @@ def _edge_tiles(batch: GraphBatch):
 def _tile_buffer(batch: GraphBatch, h: int, dtype):
     """Scratch rows for the largest edge tile."""
     return np.empty((min(len(batch.dist), max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
-
-
-def _sum_rows(a):
-    """Sum over the rows (second-to-last axis) of a, as a BLAS product:
-    about twice as fast as a.sum(axis=-2) on edge tiles."""
-    return np.ones(a.shape[-2], dtype=a.dtype) @ a
 
 
 def _diagonal(tile, tile_nodes, nodes):
@@ -393,10 +382,9 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
 
     Returns the next node and edge features plus, in training mode, the
     cache conv_backward reads: the layer inputs, the gate terms, the
-    pre-activations centred on their batch means, the ReLU masks and the
-    batch variances. Training mode raises NonFiniteActivation when the
-    layer's inputs, parameters or outputs are not finite. In eval mode the
-    edge rows are updated in place and returned, and the cache is None.
+    centred pre-activations, the ReLU masks and the batch variances; a
+    non-finite value raises NonFiniteActivation. In eval mode the edge
+    rows are updated in place and returned, and the cache is None.
     """
     if update_stats is None:
         update_stats = training
@@ -415,8 +403,7 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
         return x_next, e, None
 
     # training: t = e W_edge^T + s_i + r_j in three tile sweeps (sum, centred
-    # squares, output); the diagonal (i == j) is not a pair, so its rows are
-    # computed but left out of the statistics
+    # squares, output); the diagonal (i == j) rows are left out of the sums
     h = x.shape[1]
     m_e = int(batch.pair_mask.sum())
     source = x @ layer.w_source.T
@@ -428,7 +415,7 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
         block = tile.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
         block += source[tile_nodes, None, :]
         block += target[None, nodes, :]
-        total += _sum_rows(tile) - _diagonal(tile, tile_nodes, nodes).sum(axis=0)
+        total += tile.sum(axis=0) - _diagonal(tile, tile_nodes, nodes).sum(axis=0)
     mu_e = total / m_e
     squares = np.zeros(h, dtype=e.dtype)
     for tile_nodes, nodes, rows in _edge_tiles(batch):
@@ -439,8 +426,7 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     var_e = squares / m_e
     bn_e = layer.bn_edge
     k = bn_e.gamma / np.sqrt(var_e + BN_EPS)
-    # a non-finite t, so a non-finite e, x or edge weight, shows in its sums;
-    # past these checks only an overflow can make e_next non-finite
+    # a non-finite t shows in its sums; past this only an overflow can stop e_next
     if not all(np.isfinite(a).all() for a in (x_next, mu_e, var_e, k, bn_e.beta)):
         raise NonFiniteActivation("non-finite activation in conv layer")
     e_next = np.empty_like(e)
@@ -468,20 +454,17 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
 
 
 def _bn_backward_terms(bn: BatchNorm, var, g_sum, gc_sum, m: int):
-    """Batch norm y = k * x_c + beta under batch statistics over m entries,
-    x_c centred on the batch mean, k = gamma / sqrt(var + eps). From the
-    pooled sums of g = dL/dy and of g * x_c, the input gradient is
-    k * g - (a + c * x_c); returns k, a, c and the gamma gradient."""
+    """Batch norm y = k * x_c + beta over m entries, x_c centred, k = gamma /
+    sqrt(var + eps). From the sums of g = dL/dy and of g * x_c, the input
+    gradient is k * g - (a + c * x_c); returns k, a, c and dL/dgamma."""
     std = np.sqrt(var + BN_EPS)
     k = bn.gamma / std
     return k, k * g_sum / m, k * gc_sum / (m * (var + BN_EPS)), gc_sum / std
 
 
 def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
-    """Exact gradients of one conv layer from its training-mode cache.
-
-    de_next is consumed: the edge gradient de accumulates in its rows.
-    """
+    """Exact gradients of one conv layer from its training-mode cache; the
+    edge gradient accumulates in the rows of de_next."""
     x, e = cache["x"], cache["e"]
     sg_vals, den, raw, v = cache["gate"]
     t_c, relu_e = cache["t_c"], cache["relu_e"]
@@ -496,7 +479,7 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     gc_sum = np.zeros(h, dtype=x.dtype)
     for _, _, rows in _edge_tiles(batch):
         ge = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[: rows.stop - rows.start])
-        g_sum += _sum_rows(ge)
+        g_sum += ge.sum(axis=0)
         gc_sum += np.einsum("ij,ij->j", ge, t_c[rows])
     k, a, c, grads["bn_edge.gamma"] = _bn_backward_terms(
         layer.bn_edge, cache["var_e"], g_sum, gc_sum, int(batch.pair_mask.sum()))
@@ -508,17 +491,15 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
         n_rows = rows.stop - rows.start
         dt = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[:n_rows])
         dt *= k
-        shift = np.multiply(t_c[rows], c, out=work[:n_rows])
-        shift += a
-        dt -= shift
+        dt -= a
+        dt -= np.multiply(t_c[rows], c, out=work[:n_rows])
         _diagonal(dt, tile_nodes, nodes)[...] = 0.0
         grads["w_edge"] += dt.T @ e[rows]
         de_rows = de_next[rows]   # de = de_next + dt W_edge, in place
         de_rows += np.matmul(dt, layer.w_edge, out=work[:n_rows])
         block = dt.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
-        dt_i[tile_nodes] = _sum_rows(block)
+        dt_i[tile_nodes] = block.sum(axis=1)
         dt_j[nodes] += block.sum(axis=0)
-    de = de_next
     grads["w_source"] = dt_i.T @ x
     grads["w_target"] = dt_j.T @ x
     dx = dx_next + dt_i @ layer.w_source + dt_j @ layer.w_target
@@ -540,20 +521,19 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     dv_vals = sg_vals * draw[src]
     dv = _segment_scatter(dv_vals[batch.col_perm], batch.col_starts, batch.col_ids, len(x))
     dsg_vals = draw[src] * v[dst] + dden[src]
-    de[edge] += dsg_vals * sg_vals * (1.0 - sg_vals)
+    de_next[edge] += dsg_vals * sg_vals * (1.0 - sg_vals)
     grads["w_neighbor"] = dv.T @ x
     dx += dv @ layer.w_neighbor
 
-    return dx, de, grads
+    return dx, de_next, grads
 
 
 def mlp_head(e_final, params: ModelParams, batch: GraphBatch, training: bool):
     """Per-edge probability via the MLP over final edge rows, in edge tiles.
 
     Returns the (P,) probabilities and, in training mode, the input of
-    every MLP layer, which _mlp_backward reads. In eval mode no layer input
-    is kept: the hidden rows run through one scratch buffer, and the inputs
-    are None.
+    every MLP layer, which _mlp_backward reads. In eval mode the hidden
+    rows run through one scratch buffer, and the inputs are None.
     """
     last = len(params.mlp_weights) - 1
     heat = np.empty(len(e_final), dtype=e_final.dtype)
@@ -587,7 +567,7 @@ def _mlp_backward(dlogits, inputs, params: ModelParams, batch: GraphBatch):
         for k in reversed(range(len(params.mlp_weights))):
             a_in = inputs[k][rows]
             grads_w[k] += dz.T @ a_in
-            grads_b[k] += _sum_rows(dz)
+            grads_b[k] += dz.sum(axis=0)
             # products alternate between buf and de, so the last lands in de
             out = de[rows] if k % 2 == 0 else buf[: len(a_in)]
             dz = np.matmul(dz, params.mlp_weights[k], out=out)

@@ -20,9 +20,7 @@ from .fileio import atomic_write_text
 from .scenario import GridMap, free_cell_edges
 
 LABELS_HEADER = "cpp-labels v2"
-LABELS_V1_HEADER = "cpp-labels v1"
-# a v1 header names no settings: its labels were made under these
-LABELS_V1_SETTINGS = ["seed", "0", "connectivity", "4", "restarts", "8"]
+TWO_OPT_RESTARTS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +113,7 @@ def _two_opt_descent(order: list, cost: np.ndarray) -> list:
     return order
 
 
-def two_opt(costs: CostMatrix, start: int = 0, seed: int = 0, restarts: int = 8) -> Tour:
+def two_opt(costs: CostMatrix, start: int = 0, seed: int = 0, restarts: int = TWO_OPT_RESTARTS) -> Tour:
     """Best of several first-improvement 2-opt descents over an open path.
 
     Nearest-neighbor cost ties pick the construction: the first descent
@@ -170,25 +168,25 @@ def label_pairs(tour: Tour) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def labels_to_text(scenario_hash: str, pairs, seed: int = 0, connectivity: int = 4,
-                   restarts: int = 8) -> str:
-    lines = [f"{LABELS_HEADER} {scenario_hash} seed {seed} connectivity {connectivity} "
-             f"restarts {restarts}"]
+def _settings(seed: int, connectivity: int) -> list[str]:
+    return f"seed {seed} connectivity {connectivity} restarts {TWO_OPT_RESTARTS}".split()
+
+
+def labels_to_text(scenario_hash: str, pairs, seed: int = 0, connectivity: int = 4) -> str:
+    lines = [" ".join([LABELS_HEADER, scenario_hash, *_settings(seed, connectivity)])]
     lines.extend(f"{i} {j}" for i, j in pairs)
     return "\n".join(lines) + "\n"
 
 
-def labels_from_text(text: str, seed: int = 0, connectivity: int = 4,
-                     restarts: int = 8) -> tuple[str, list[tuple[int, int]]]:
-    """Scenario hash and pairs of a labels file whose 2-opt ran under the
-    given settings; labels made under other settings are a ParseError."""
+def labels_from_text(text: str, seed: int = 0, connectivity: int = 4) -> tuple[str, list[tuple[int, int]]]:
+    """Scenario hash and pairs; labels made under other settings are a ParseError."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty labels file")
     head = lines[0].split()
-    if " ".join(head[:2]) == LABELS_V1_HEADER and len(head) == 3:
-        head = LABELS_HEADER.split() + head[2:] + LABELS_V1_SETTINGS
-    want = ["seed", str(seed), "connectivity", str(connectivity), "restarts", str(restarts)]
+    if head[:2] == ["cpp-labels", "v1"] and len(head) == 3:  # made under the defaults
+        head = LABELS_HEADER.split() + head[2:] + _settings(0, 4)
+    want = _settings(seed, connectivity)
     if " ".join(head[:2]) != LABELS_HEADER or len(head) != 9 or head[3::2] != want[::2]:
         raise FormatVersionMismatch(f"bad labels header: {lines[0]!r}")
     if head[3:] != want:
@@ -228,13 +226,12 @@ def pairs_to_matrix(pairs, n_max: int) -> np.ndarray:
 
 
 class LabelCache:
-    """Disk cache of 2-opt label pairs, one file per scenario content hash.
-    Each file names the seed, connectivity and restarts its 2-opt ran
-    under; a file made under other settings is refused, never reused."""
+    """Disk cache of 2-opt label pairs by scenario hash; a file names its settings."""
 
-    def __init__(self, cache_dir, seed: int = 0, connectivity: int = 4, restarts: int = 8):
+    def __init__(self, cache_dir, seed: int = 0, connectivity: int = 4):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.settings = (seed, connectivity, restarts)
+        self.seed = seed
+        self.connectivity = connectivity
         self._memory: dict[str, list[tuple[int, int]]] = {}
 
     def _path(self, scenario_hash: str) -> Path:
@@ -248,14 +245,14 @@ class LabelCache:
             path = self._path(key)
             if path.is_file():
                 stored_hash, pairs = labels_from_text(path.read_text(encoding="utf-8"),
-                                                      *self.settings)
+                                                      self.seed, self.connectivity)
                 if stored_hash != key:
                     raise ParseError(f"label cache {path} keyed for {stored_hash}, not {key}")
                 _check_label_pairs(pairs, grid.n_free, f"label cache {path}")
                 self._memory[key] = pairs
                 return pairs
-        seed, connectivity, restarts = self.settings
-        tour = two_opt(cost_matrix(grid, connectivity), grid.start_slot, seed, restarts)
+        costs = cost_matrix(grid, self.connectivity)
+        tour = two_opt(costs, grid.start_slot, self.seed)
         pairs = label_pairs(tour)
         self.store(grid, pairs)
         return pairs
@@ -266,4 +263,4 @@ class LabelCache:
         if self.cache_dir is not None:
             path = self._path(key)
             if not path.is_file():
-                atomic_write_text(path, labels_to_text(key, pairs, *self.settings))
+                atomic_write_text(path, labels_to_text(key, pairs, self.seed, self.connectivity))

@@ -434,9 +434,10 @@ def test_non_finite_activation_detected():
 def test_non_finite_edge_activation_detected(where):
     # an infinite edge weight, and finite batch-norm parameters whose edge
     # update overflows: k * t_c reaches 1e307 where t_c passes one standard
-    # deviation, and beta + 1e307 exceeds the float64 range
+    # deviation, and beta + 1e307 exceeds the float64 range. Both are in the
+    # last layer, whose edge rows no later conv layer sums.
     _, _, _, params, batch, _ = small_setup()
-    layer = params.layers[0]
+    layer = params.layers[-1]
     if where == "overflow":
         layer.bn_edge.gamma[:] = 1e307
         layer.bn_edge.beta[:] = 1.7e308

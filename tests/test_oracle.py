@@ -214,15 +214,13 @@ def test_label_cache_reuses_disk(tmp_path):
 
 def test_label_file_names_its_settings(tmp_path):
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
-    LabelCache(tmp_path, seed=3, connectivity=8, restarts=2).pairs_for(grid)
+    LabelCache(tmp_path, seed=3, connectivity=8).pairs_for(grid)
     head = (tmp_path / f"{grid.content_hash()}.labels").read_text().splitlines()[0]
-    assert head == f"cpp-labels v2 {grid.content_hash()} seed 3 connectivity 8 restarts 2"
-    assert LabelCache(tmp_path, seed=3, connectivity=8, restarts=2).pairs_for(grid)
+    assert head == f"cpp-labels v2 {grid.content_hash()} seed 3 connectivity 8 restarts 8"
+    assert LabelCache(tmp_path, seed=3, connectivity=8).pairs_for(grid)
 
 
-@pytest.mark.parametrize("settings", [
-    {"seed": 1}, {"connectivity": 8}, {"restarts": 2},
-], ids=["seed", "connectivity", "restarts"])
+@pytest.mark.parametrize("settings", [{"seed": 1}, {"connectivity": 8}], ids=["seed", "connectivity"])
 def test_label_cache_refuses_labels_of_other_settings(tmp_path, settings):
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
     LabelCache(tmp_path).pairs_for(grid)
@@ -230,9 +228,14 @@ def test_label_cache_refuses_labels_of_other_settings(tmp_path, settings):
         LabelCache(tmp_path, **settings).pairs_for(grid)
 
 
+def test_label_file_of_other_restarts_refused():
+    with pytest.raises(ParseError, match="restarts 2, not seed 0 connectivity 4 restarts 8"):
+        labels_from_text("cpp-labels v2 deadbeef seed 0 connectivity 4 restarts 2\n0 1\n")
+
+
 @pytest.mark.parametrize("settings", [
-    {}, {"seed": 1}, {"connectivity": 8}, {"restarts": 2},
-], ids=["defaults", "seed", "connectivity", "restarts"])
+    {}, {"seed": 1}, {"connectivity": 8},
+], ids=["defaults", "seed", "connectivity"])
 def test_label_cache_reads_v1_only_under_its_settings(tmp_path, settings):
     # a v1 file names no settings; it was written with seed 0,
     # 4-connectivity and 8 restarts
