@@ -25,10 +25,6 @@ class CapacityExceeded(CppnetError, ValueError):
     """More free cells than graph slots."""
 
 
-class OutOfRange(CppnetError, IndexError):
-    """Node slot beyond the real-node range."""
-
-
 class TooLarge(CppnetError, ValueError):
     """Instance too big for exhaustive search."""
 

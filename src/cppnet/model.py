@@ -1,7 +1,7 @@
 """Edge-probability graph network with hand-written exact gradients.
 
 Architecture: a linear input embedding of node coordinates and of edge
-(distance, indicator) pairs, a stack of residual gated graph-convolution
+(step length, indicator) pairs, a stack of residual gated graph-convolution
 layers with batch normalization, and an MLP head that maps each final
 edge feature to the probability of that edge belonging to the optimal
 coverage tour.
@@ -12,8 +12,8 @@ normalization statistics and the neighbor-gating quotient; finite
 differences validate it to 1e-4 relative error in the test suite.
 
 Conventions:
-  - Batches stack graphs of equal capacity n; real slots (indicator
-    diagonal == 2) come first, adjacency is indicator == 1.
+  - Batches stack graphs of equal capacity n; graph b's real slots are
+    0..n_b-1 and its free-cell edge list is the adjacency.
   - The model computes on real slots only, one block per graph: node
     features are (N, h) rows and edge features (P, h) rows, graph b
     owning n_b node rows and its (n_b, n_b) edge block. Padding slots are
@@ -218,14 +218,11 @@ class GraphBatch:
     block_mask: np.ndarray   # (B, n, n) bool: both real
     blocks: tuple            # per graph: (n_b, node row slice, edge row slice)
     coords: np.ndarray       # (N, 2)
-    dist: np.ndarray         # (P,)
-    indicator: np.ndarray    # (P,) float
-    adj_idx: tuple           # (edge row, source node row, target node row) per adjacency
+    adj_idx: tuple           # (edge row, source node row, target node row) per free-cell edge
+    adj_len: np.ndarray      # (A,) step length per free-cell edge
     row_starts: np.ndarray   # reduceat boundaries grouping adj_idx by source node
     row_ids: np.ndarray      # source node row per boundary group
     col_perm: np.ndarray     # permutation sorting adj_idx by target node
-    col_starts: np.ndarray
-    col_ids: np.ndarray
 
     @property
     def batch_size(self):
@@ -235,17 +232,18 @@ class GraphBatch:
     def n(self):
         return self.real.shape[1]
 
+    @property
+    def n_pairs(self):
+        return self.blocks[-1][2].stop
+
 
 def stack_graphs(graphs: list[ScenarioGraph], dtype=np.float64) -> GraphBatch:
     n = graphs[0].n_max
     for g in graphs:
         if g.n_max != n:
             raise ShapeMismatch("all graphs in a batch must share n_max")
-    indicator = np.stack([g.indicator for g in graphs])
-    real = indicator.diagonal(axis1=1, axis2=2) == 2
-    sizes = real.sum(axis=1)
-    if not np.array_equal(real, np.arange(n) < sizes[:, None]):
-        raise ShapeMismatch("real slots must precede padding slots")
+    sizes = np.array([g.n_free for g in graphs])
+    real = np.arange(n) < sizes[:, None]
     block_mask = real[:, :, None] & real[:, None, :]
     pair_mask = block_mask & ~np.eye(n, dtype=bool)
     node_starts = np.concatenate([[0], np.cumsum(sizes)])
@@ -256,28 +254,24 @@ def stack_graphs(graphs: list[ScenarioGraph], dtype=np.float64) -> GraphBatch:
         for b, nb in enumerate(sizes)
     )
 
-    b_idx, i_idx, j_idx = np.nonzero((indicator == 1) & pair_mask)
+    b_idx = np.repeat(np.arange(len(graphs)), [len(g.edges[0]) for g in graphs])
+    i_idx, j_idx, length = (np.concatenate(parts) for parts in zip(*(g.edges for g in graphs)))
     src = node_starts[b_idx] + i_idx
     dst = node_starts[b_idx] + j_idx
     edge = edge_starts[b_idx] + i_idx * sizes[b_idx] + j_idx
     # keys are >= 0, so prepending -1 opens a group at the first entry
     row_starts = np.flatnonzero(np.diff(src, prepend=-1))
-    col_perm = np.argsort(dst, kind="stable")
-    col_starts = np.flatnonzero(np.diff(dst[col_perm], prepend=-1))
     return GraphBatch(
         real,
         pair_mask,
         block_mask,
         blocks,
-        np.stack([g.coords for g in graphs]).astype(dtype)[real],
-        np.stack([g.dist for g in graphs]).astype(dtype)[block_mask],
-        indicator[block_mask].astype(dtype),
+        np.concatenate([g.coords for g in graphs]).astype(dtype),
         (edge, src, dst),
+        length.astype(dtype),
         row_starts,
         src[row_starts],
-        col_perm,
-        col_starts,
-        dst[col_perm][col_starts],
+        np.argsort(dst, kind="stable"),
     )
 
 
@@ -300,17 +294,22 @@ def _sigmoid(x):
 
 
 def embed_input(batch: GraphBatch, params: ModelParams):
-    """Linear embeddings of node coordinates and (distance, indicator) edges:
-    (N, h) node rows and (P, h) edge rows."""
+    """Linear embeddings of node coordinates and (step length, indicator)
+    edges: (N, h) node rows and (P, h) edge rows. The indicator is 1 on an
+    adjacency row, 2 on a diagonal (i, i) row and 0 elsewhere, where the
+    step length is 0 too, so those rows are the bias alone."""
     h = params.config.hidden
     half = h // 2
     if params.node_weight.shape != (h, 2):
         raise ShapeMismatch(f"node weight shape {params.node_weight.shape} != ({h}, 2)")
     x0 = batch.coords @ params.node_weight.T + params.node_bias
-    e0 = np.empty((len(batch.dist), h), dtype=x0.dtype)
-    np.multiply(batch.dist[:, None], params.dist_weight, out=e0[:, :half])
-    e0[:, :half] += params.dist_bias
-    np.multiply(batch.indicator[:, None], params.indicator_weight, out=e0[:, half:])
+    e0 = np.zeros((batch.n_pairs, h), dtype=x0.dtype)
+    e0[:, :half] = params.dist_bias
+    edge = batch.adj_idx[0]
+    e0[edge, :half] = batch.adj_len[:, None] * params.dist_weight + params.dist_bias
+    e0[edge, half:] = params.indicator_weight
+    for _, nodes, edges in batch.blocks:
+        _diagonal(e0[edges], nodes, nodes)[:, half:] = 2.0 * params.indicator_weight
     return x0, e0
 
 
@@ -346,7 +345,7 @@ def _edge_tiles(batch: GraphBatch):
 
 def _tile_buffer(batch: GraphBatch, h: int, dtype):
     """Scratch rows for the largest edge tile."""
-    return np.empty((min(len(batch.dist), max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
+    return np.empty((min(batch.n_pairs, max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
 
 
 def _diagonal(tile, tile_nodes, nodes):
@@ -514,12 +513,13 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     grads["w_self"] = ds.T @ x
     dx += ds @ layer.w_self
 
-    # gated aggregation: agg = raw / den, raw = sum_j sg * v_j
+    # gated aggregation: agg = raw / den, raw = sum_j sg * v_j; the free-cell
+    # graph is symmetric, so grouped by target its adjacency has the source groups
     edge, src, dst = batch.adj_idx
     draw = ds / den
     dden = -ds * raw / (den * den)
     dv_vals = sg_vals * draw[src]
-    dv = _segment_scatter(dv_vals[batch.col_perm], batch.col_starts, batch.col_ids, len(x))
+    dv = _segment_scatter(dv_vals[batch.col_perm], batch.row_starts, batch.row_ids, len(x))
     dsg_vals = draw[src] * v[dst] + dden[src]
     de_next[edge] += dsg_vals * sg_vals * (1.0 - sg_vals)
     grads["w_neighbor"] = dv.T @ x
@@ -647,14 +647,17 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
         layer_grads.append(grads)
     layer_grads.reverse()
 
-    # input embedding backward
+    # input embedding backward: lengths and indicators are 0 off adjacency and diagonal
     h = params.config.hidden
     half = h // 2
+    edge = batch.adj_idx[0]
     g_node_w = dx.T @ batch.coords
     g_node_b = dx.sum(axis=0)
-    g_dist_w = batch.dist @ de[:, :half]
+    g_dist_w = batch.adj_len @ de[edge, :half]
     g_dist_b = de[:, :half].sum(axis=0)
-    g_ind_w = batch.indicator @ de[:, half:]
+    g_ind_w = de[edge, half:].sum(axis=0) + 2.0 * sum(
+        _diagonal(de[edges], nodes, nodes)[:, half:].sum(axis=0) for _, nodes, edges in batch.blocks
+    )
 
     grads = ModelParams(
         params.config,
@@ -735,15 +738,17 @@ def _config_from_line(line: bytes) -> ModelConfig:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Parameters of a checkpoint file. Any defect is a ParseError: an
+    undecodable byte becomes U+FFFD, which no header field accepts."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode().strip()
+        header = fh.readline().decode(errors="replace").strip()
         if header != CHECKPOINT_HEADER:
             raise FormatVersionMismatch(f"bad checkpoint header: {header!r}")
         config = _config_from_line(fh.readline())
         params = init_params(config, seed=0)
         expected = params.named_trainable() + params.named_running()
         for name, arr in expected:
-            line = fh.readline().decode()
+            line = fh.readline().decode(errors="replace")
             parts = line.split()
             if len(parts) != 5 or parts[0] != "tensor":
                 raise ParseError(f"bad tensor header: {line!r}")
@@ -755,13 +760,12 @@ def load_checkpoint(path) -> ModelParams:
                 nbytes = int(parts[4])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad tensor header for {name}: {exc}") from exc
+            if dtype.kind != "f" or shape != arr.shape or nbytes != arr.size * dtype.itemsize:
+                raise ParseError(f"tensor header {line!r}: not a float tensor of shape {arr.shape}")
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise ParseError(f"tensor {name} truncated")
             if fh.read(1) != b"\n":
                 raise ParseError(f"tensor {name} missing terminator")
-            loaded = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            if loaded.shape != arr.shape:
-                raise ParseError(f"tensor {name} shape {loaded.shape} != {arr.shape}")
-            arr[...] = loaded
+            arr[...] = np.frombuffer(raw, dtype=dtype).reshape(shape)
     return params

@@ -435,7 +435,10 @@ def load_scenarios(path) -> ScenarioSet:
     head = lines[0].split()
     if len(head) != 3 or " ".join(head[:2]) != MANIFEST_HEADER:
         raise FormatVersionMismatch(f"bad manifest header: {lines[0]!r}")
-    seed = int(head[2])
+    try:
+        seed = int(head[2])
+    except ValueError as exc:
+        raise ParseError(f"manifest line 1: bad seed {head[2]!r}") from exc
     scenarios, tags = [], []
     for line in lines[1:]:
         if not line.strip():

@@ -258,8 +258,10 @@ MODEL_KEYS = {
 
 
 def parse_config_text(text: str) -> tuple[TrainConfig, ModelConfig]:
-    """Parse a key = value config covering TrainConfig and ModelConfig."""
+    """Parse a key = value config covering TrainConfig and ModelConfig. An
+    unknown key or a value its config refuses is a ParseError naming the line."""
     train_kwargs, model_kwargs = {}, {}
+    sections = ((TrainConfig, TRAIN_KEYS, train_kwargs), (ModelConfig, MODEL_KEYS, model_kwargs))
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -269,12 +271,15 @@ def parse_config_text(text: str) -> tuple[TrainConfig, ModelConfig]:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in TRAIN_KEYS:
-            train_kwargs[key] = TRAIN_KEYS[key](value)
-        elif key in MODEL_KEYS:
-            model_kwargs[key] = MODEL_KEYS[key](value)
-        else:
+        section = next((s for s in sections if key in s[1]), None)
+        if section is None:
             raise ParseError(f"line {lineno}: unknown config key {key!r}")
+        config, kinds, kwargs = section
+        try:
+            kwargs[key] = kinds[key](value)
+            config(**{key: kwargs[key]})  # each field is checked on its own
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad {key} value {value!r}: {exc}") from exc
     return TrainConfig(**train_kwargs), ModelConfig(**model_kwargs)
 
 

@@ -179,7 +179,7 @@ def test_criterion_3_coverage_completeness(rng):
         grid = generate_scenario(rows, cols, 1.0, density, seed=int(rng.integers(2**31)))
         graph = encode(grid, grid.n_free)
         n = grid.n_free
-        start = graph.cell_slots[grid.start]
+        start = grid.start_slot
         labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid), start)), n)
         heats = [
             np.full((n, n), 0.5),

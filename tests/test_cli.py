@@ -301,3 +301,78 @@ def test_plot_rejects_bad_records(tmp_path, capsys, row):
     assert run("plot", "--records", str(records), "--out", str(tmp_path / "box.svg")) == 2
     assert "records row" in capsys.readouterr().err
     assert not (tmp_path / "box.svg").exists()
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """Inputs for every verb: a dataset, a config, an untrained checkpoint,
+    a scenario file, its trajectory and a records file."""
+    root = tmp_path_factory.mktemp("workspace")
+    data = root / "data"
+    assert run(
+        "generate", "--count", "4", "--rows", "3", "--cols", "3", "--cell-size", "1",
+        "--density-min", "0", "--density-max", "0.2", "--seed", "5",
+        "--ratios", "0.5,0.25,0.25", "--out", str(data),
+    ) == 0
+    (root / "train.cfg").write_text(TINY_CONFIG)
+    (root / "bad.cfg").write_text("batch_size = 0\n")
+    model = root / "m.ckpt"
+    save_checkpoint(init_params(ModelConfig(hidden=4, conv_layers=1, n_max=16), seed=0), model)
+    scenario = sorted(data.glob("scenario_*.txt"))[0]
+    assert run("solve", "--scenario", str(scenario), "--model", str(model),
+               "--out", str(root / "one.traj")) == 0
+    assert run("bench", "--scenarios", str(data), "--model", str(model),
+               "--out", str(root / "records.csv")) == 0
+    return root
+
+
+# per verb: arguments that succeed, then the same verb with a usage error
+# (1) and with a runtime failure (2); {w} is the workspace, {out} the output
+EXIT_CODE_ARGS = {
+    "generate": (
+        "--count 3 --rows 3 --cols 3 --cell-size 1 --density-min 0 --density-max 0.2 "
+        "--seed 1 --out {out}",
+        "--count 3 --rows 3 --cols 3 --out {out}",
+        "--count 3 --rows 3 --cols 3 --cell-size 1 --density-min 0.8 --density-max 0.9 "
+        "--seed 1 --out {out}",
+    ),
+    "label": (
+        "--scenarios {w}/data --out {out}",
+        "--scenarios {w}/data",
+        "--scenarios {w}/missing --out {out}",
+    ),
+    "train": (
+        "--scenarios {w}/data --config {w}/train.cfg --out {out}",
+        "--scenarios {w}/data --config {w}/train.cfg",
+        "--scenarios {w}/data --config {w}/bad.cfg --out {out}",
+    ),
+    "solve": (
+        "--scenario {w}/data/scenario_00000.txt --model {w}/m.ckpt --out {out}",
+        "--scenario {w}/data/scenario_00000.txt --out {out}",
+        "--scenario {w}/data/scenario_00000.txt --model {w}/data/manifest.txt --out {out}",
+    ),
+    "bench": (
+        "--scenarios {w}/data --model {w}/m.ckpt --out {out}",
+        "--scenarios {w}/data --model {w}/m.ckpt",
+        "--scenarios {w}/data --model {w}/missing.ckpt --out {out}",
+    ),
+    "plot": (
+        "--records {w}/records.csv --out {out}",
+        "--records {w}/records.csv --trajectory {w}/one.traj --out {out}",
+        "--trajectory {w}/one.traj --scenario {w}/data/manifest.txt --out {out}",
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(EXIT_CODE_ARGS))
+def test_exit_codes_per_verb(verb, workspace, tmp_path, capsys):
+    for code, args in enumerate(EXIT_CODE_ARGS[verb]):
+        out = tmp_path / f"out{code}"
+        argv = args.format(w=workspace, out=out).split()
+        capsys.readouterr()
+        assert run(verb, *argv) == code, (code, argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error:")
+            assert not out.exists()

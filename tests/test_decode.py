@@ -57,9 +57,10 @@ def test_trapped_decode_expands_neighborhood():
     n = graph.n_free
     heat = np.zeros((n, n))
     forced = [(0, 0), (0, 1), (1, 1), (1, 0)]
+    slot = {cell: s for s, cell in enumerate(graph.slot_cells)}
     for a, b in zip(forced, forced[1:]):
-        heat[graph.cell_slots[a], graph.cell_slots[b]] = 1.0
-    tour = greedy_decode(heat, graph, graph.cell_slots[(0, 0)])
+        heat[slot[a], slot[b]] = 1.0
+    tour = greedy_decode(heat, graph, slot[(0, 0)])
     assert sorted(tour.order) == list(range(n))
     cells = [graph.slot_cells[s] for s in tour.order]
     assert cells[:4] == forced

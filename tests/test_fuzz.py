@@ -1,0 +1,102 @@
+"""Every reader of an input file, fed arbitrary bytes, returns a valid
+object or raises ParseError: never another exception."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cppnet.bench import BenchRecord, records_from_csv, records_to_csv
+from cppnet.decode import Trajectory, trajectory_from_text, trajectory_to_text
+from cppnet.errors import ParseError
+from cppnet.model import ModelConfig, ModelParams, init_params, load_checkpoint, save_checkpoint
+from cppnet.oracle import Tour, labels_from_text, labels_to_text
+from cppnet.train import TrainConfig, parse_config_text
+
+HASH = "0123456789abcdef"
+
+
+def text(raw: bytes) -> str:
+    return raw.decode("utf-8", errors="replace")
+
+
+def load_checkpoint_bytes(raw: bytes, path):
+    path.write_bytes(raw)
+    return load_checkpoint(path)
+
+
+def is_pair_list(pairs):
+    return isinstance(pairs, list) and all(
+        isinstance(i, int) and isinstance(j, int) for i, j in pairs)
+
+
+# name: (sample file, reader of (bytes, scratch path), check of its result)
+READERS = {
+    "labels": (
+        labels_to_text(HASH, [(0, 1), (1, 2), (2, 3)]).encode(),
+        lambda raw, _: labels_from_text(text(raw)),
+        lambda out: isinstance(out[0], str) and is_pair_list(out[1]),
+    ),
+    "trajectory": (
+        trajectory_to_text(
+            Trajectory(Tour((0, 1, 2), 2.0), ((0, 0), (0, 1), (0, 2)), 2.0, 1.5), HASH
+        ).encode(),
+        lambda raw, _: trajectory_from_text(text(raw)),
+        lambda out: isinstance(out[0], Trajectory) and isinstance(out[1], str),
+    ),
+    "records": (
+        records_to_csv([BenchRecord(HASH, 0.25, "two_opt", 12.5, 0.003),
+                        BenchRecord(HASH, 0.25, "learned", 13.0, 0.001)], "0" * 64).encode(),
+        lambda raw, _: records_from_csv(text(raw)),
+        lambda out: isinstance(out, list) and all(isinstance(r, BenchRecord) for r in out),
+    ),
+    "config": (
+        b"learning_rate = 0.01\nbatch_size = 4\nhidden = 8\ndtype = float32\n",
+        lambda raw, _: parse_config_text(text(raw)),
+        lambda out: isinstance(out[0], TrainConfig) and isinstance(out[1], ModelConfig),
+    ),
+    "checkpoint": (
+        None,   # written by the scratch fixture
+        load_checkpoint_bytes,
+        lambda out: isinstance(out, ModelParams),
+    ),
+}
+
+
+def spliced(sample: bytes):
+    """Arbitrary bytes, or the sample with a run of its bytes replaced by
+    arbitrary ones (which also truncates or extends it)."""
+    n = len(sample)
+    return st.one_of(
+        st.binary(max_size=2 * n),
+        st.builds(lambda a, b, junk: sample[: min(a, b)] + junk + sample[max(a, b):],
+                  st.integers(0, n), st.integers(0, n), st.binary(max_size=16)),
+    )
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    config = ModelConfig(hidden=2, conv_layers=1, mlp_layers=1, n_max=4)
+    save_checkpoint(init_params(config, seed=0), root / "sample.ckpt")
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_sample_is_valid(name, scratch):
+    sample, read, valid = READERS[name]
+    sample = sample or (scratch / "sample.ckpt").read_bytes()
+    assert valid(read(sample, scratch / "input"))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reader_gives_valid_object_or_parse_error(name, scratch, data):
+    sample, read, valid = READERS[name]
+    sample = sample or (scratch / "sample.ckpt").read_bytes()
+    raw = data.draw(spliced(sample))
+    try:
+        out = read(raw, scratch / "input")
+    except ParseError:
+        return
+    assert valid(out)

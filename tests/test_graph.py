@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cppnet.errors import CapacityExceeded, OutOfRange
-from cppnet.graph import decode_node, encode
+from cppnet.errors import CapacityExceeded
+from cppnet.graph import encode
 from cppnet.oracle import cost_matrix
 from cppnet.scenario import GridMap, free_cells_connected, generate_scenario
 
@@ -14,51 +14,41 @@ from conftest import bfs_distances, flood_fill_free
 def test_unit_grid_adjacent_distances():
     grid = generate_scenario(10, 10, 1.0, 0.0, seed=0)
     graph = encode(grid, 100)
-    nz = graph.dist[graph.dist > 0]
-    assert np.allclose(nz, 1.0)
+    assert np.allclose(graph.edges[2], 1.0)
 
 
 def test_eight_connected_diagonal_distance():
     grid = generate_scenario(3, 3, 1.0, 0.0, seed=0)
     graph = encode(grid, 9, connectivity=8)
-    i = graph.cell_slots[(0, 0)]
-    j = graph.cell_slots[(1, 1)]
-    assert graph.indicator[i, j] == 1
-    assert graph.dist[i, j] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    slot = {cell: s for s, cell in enumerate(graph.slot_cells)}
+    i, j, length = graph.edges
+    (k,) = np.flatnonzero((i == slot[(0, 0)]) & (j == slot[(1, 1)]))
+    assert length[k] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_3x3_adjacency_count():
     # 3*2 horizontal + 2*3 vertical grid edges = 12 undirected adjacencies
     grid = generate_scenario(3, 3, 1.0, 0.0, seed=0)
     graph = encode(grid, 9)
-    assert int((graph.dist > 0).sum()) == 24
-    assert int((graph.indicator == 1).sum()) == 24
+    assert all(len(a) == 24 for a in graph.edges)
+    assert np.all(graph.edges[2] > 0)
 
 
 def test_indicator_row_sums_match_grid_degree():
     grid = generate_scenario(6, 6, 1.0, 0.25, seed=8)
     graph = encode(grid, 36)
+    out_degree = np.bincount(graph.edges[0], minlength=graph.n_free)
     for slot in range(graph.n_free):
         cell = graph.slot_cells[slot]
         degree = sum(1 for _ in grid.neighbors(cell))
-        assert int((graph.indicator[slot] == 1).sum()) == degree
+        assert out_degree[slot] == degree
 
 
 def test_row_major_enumeration_and_decode_roundtrip():
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=3)
     graph = encode(grid, 25)
-    assert decode_node(graph, 0) == grid.free_cells()[0]
-    for cell in grid.free_cells():
-        assert decode_node(graph, graph.cell_slots[cell]) == cell
-
-
-def test_decode_padding_slot_out_of_range():
-    grid = generate_scenario(4, 4, 1.0, 0.25, seed=1)
-    graph = encode(grid, 20)
-    with pytest.raises(OutOfRange):
-        decode_node(graph, graph.n_free)
-    with pytest.raises(OutOfRange):
-        decode_node(graph, -1)
+    assert list(graph.slot_cells) == grid.free_cells()
+    assert graph.slot_cells[grid.start_slot] == grid.start
 
 
 def test_capacity_exceeded():
@@ -68,16 +58,16 @@ def test_capacity_exceeded():
 
 
 def test_padding_rows_inert():
+    # capacity beyond the free cells adds no node and no edge
     grid = generate_scenario(3, 3, 1.0, 0.2, seed=5)
     graph = encode(grid, 12)
+    tight = encode(grid, grid.n_free)
     n = graph.n_free
-    assert not graph.dist[n:].any()
-    assert not graph.dist[:, n:].any()
-    assert not graph.indicator[n:].any()
-    assert not graph.indicator[:, n:].any()
-    assert not graph.coords[n:].any()
-    real = graph.real_mask()
-    assert real[:n].all() and not real[n:].any()
+    assert graph.n_max == 12 and graph.coords.shape == (n, 2)
+    i, j, _ = graph.edges
+    assert i.max() < n and j.max() < n and np.all(i != j)
+    for a, b in zip(graph.edges, tight.edges):
+        assert np.array_equal(a, b)
 
 
 def test_encode_deterministic():
@@ -85,15 +75,14 @@ def test_encode_deterministic():
     a = encode(grid, 40)
     b = encode(grid, 40)
     assert np.array_equal(a.coords, b.coords)
-    assert np.array_equal(a.dist, b.dist)
-    assert np.array_equal(a.indicator, b.indicator)
+    for x, y in zip(a.edges, b.edges):
+        assert np.array_equal(x, y)
 
 
 def test_cell_size_scales_distances():
     grid = generate_scenario(3, 3, 2.5, 0.0, seed=0)
     graph = encode(grid, 9)
-    nz = graph.dist[graph.dist > 0]
-    assert np.allclose(nz, 2.5)
+    assert np.allclose(graph.edges[2], 2.5)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -117,6 +106,10 @@ def test_free_cell_graph_matches_oracles(rows, cols, density, seed, connectivity
         assert cells[grid.start_slot] == start
 
     graph = encode(grid, len(cells) + 1, connectivity)
+    src, dst, length = graph.edges
+    # the edge list is sorted by (i, j), each pair at most once
+    assert np.all(np.diff(src * len(cells) + dst) > 0)
+    edge_length = dict(zip(zip(src.tolist(), dst.tolist()), length.tolist()))
     costs = cost_matrix(grid, connectivity) if connected else None
     # a neighbour is one step away; any two steps are longer than a diagonal
     one_step = cell_size * np.sqrt(2.0) * (1 + 1e-9)
@@ -127,7 +120,8 @@ def test_free_cell_graph_matches_oracles(rows, cols, density, seed, connectivity
         for j, other in enumerate(cells):
             d = reference.get(other, np.inf)
             adjacent = 0 < d <= one_step
-            assert graph.indicator[i, j] == (2 if i == j else int(adjacent))
-            assert graph.dist[i, j] == pytest.approx(d if adjacent else 0.0, rel=1e-12)
+            assert ((i, j) in edge_length) == adjacent
+            if adjacent:
+                assert edge_length[i, j] == pytest.approx(d, rel=1e-12)
             if costs is not None:
                 assert costs.cost[i, j] == pytest.approx(d, rel=1e-12, abs=1e-12)

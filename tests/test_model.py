@@ -95,9 +95,18 @@ def test_embed_zero_cases():
     assert np.allclose(x0, batch.coords @ params.node_weight.T, rtol=0.0, atol=1e-15)
     # a non-adjacent real pair has zero distance and zero indicator ->
     # zero edge embedding
-    apart = batch.pair_mask[batch.block_mask] & (batch.indicator == 0)
+    apart = batch.pair_mask[batch.block_mask]
+    apart[batch.adj_idx[0]] = False
     assert apart.any()
     assert np.all(e0[apart] == 0.0)
+    # an adjacent pair embeds (step length, 1), the diagonal (0, 2)
+    half = params.config.hidden // 2
+    adjacent = e0[batch.adj_idx[0]]
+    assert np.array_equal(adjacent[:, :half], batch.adj_len[:, None] * params.dist_weight)
+    assert np.all(adjacent[:, half:] == params.indicator_weight)
+    diagonal = e0[~batch.pair_mask[batch.block_mask]]
+    assert np.all(diagonal[:, :half] == 0.0)
+    assert np.all(diagonal[:, half:] == 2.0 * params.indicator_weight)
 
 
 def test_embed_linearity():
@@ -254,6 +263,16 @@ def mixed_batch(connectivity, n_max=None):
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])
+def test_adjacency_target_groups_match_source_groups(connectivity):
+    # conv_backward groups the target-sorted adjacency by the source-node
+    # boundaries; the free-cell graph is symmetric, so they coincide
+    batch, _ = mixed_batch(connectivity)
+    by_target = batch.adj_idx[2][batch.col_perm]
+    assert np.array_equal(np.flatnonzero(np.diff(by_target, prepend=-1)), batch.row_starts)
+    assert np.array_equal(by_target[batch.row_starts], batch.row_ids)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
 def test_gradients_match_on_mixed_size_batch(connectivity):
     # batch norm pools its statistics over blocks of unequal size
     batch, labels = mixed_batch(connectivity)
@@ -364,12 +383,16 @@ def test_permutation_equivariance_eval_mode():
     heat, _ = forward(batch, params, training=False)
     rng = np.random.default_rng(0)
     perm = rng.permutation(batch.n)
+    # slot a of the permuted graph is slot perm[a] of the original
+    i, j, length = graph.edges
+    inv = np.argsort(perm)
+    order = np.lexsort((inv[j], inv[i]))
 
     class Permuted:
         n_max = graph.n_max
+        n_free = graph.n_free
         coords = graph.coords[perm]
-        dist = graph.dist[np.ix_(perm, perm)]
-        indicator = graph.indicator[np.ix_(perm, perm)]
+        edges = (inv[i][order], inv[j][order], length[order])
 
     pbatch = stack_graphs([Permuted()])
     pheat, _ = forward(pbatch, params, training=False)
@@ -484,6 +507,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (rb"\{.*\}", b"[6]"),                              # config not an object
     (b'"hidden": 6', b'"hidden": 3'),                 # ModelConfig rejects it
     (b'"hidden": 6', b'"hidden": "6"'),               # wrong value type
+    (b"checkpoint v1", b"checkpoint v\xff1"),        # file header not UTF-8
+    (b"tensor input.node_bias", b"tensor input.node_b\xe9ias"),  # tensor header not UTF-8
+    (b" <f8 ", b" |O "),                              # object dtype of the same size
+    (b" <f8 6,2 ", b" <f8 6,3 "),                     # shape does not fit the byte count
 ])
 def test_checkpoint_malformed_is_parse_error(tmp_path, old, new):
     _, _, _, params, _, _ = small_setup()

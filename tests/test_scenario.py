@@ -142,6 +142,14 @@ def test_bad_header_rejected():
         scenario_from_text("something else\n")
 
 
+def test_manifest_bad_seed_is_parse_error(tmp_path):
+    save_scenarios(ScenarioSet([], [], seed=3), tmp_path / "set")
+    manifest = tmp_path / "set" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(" 3\n", " abc\n", 1))
+    with pytest.raises(ParseError, match="manifest line 1: bad seed 'abc'"):
+        load_scenarios(tmp_path / "set")
+
+
 def test_truncated_set_never_partial(tmp_path):
     sset = dataset_build(4, 4, 4, 1.0, (0.0, 0.2), (0.5, 0.25, 0.25), seed=3)
     save_scenarios(sset, tmp_path / "set")

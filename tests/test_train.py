@@ -211,6 +211,14 @@ def test_parse_config_rejects_unknown_keys():
         parse_config_text("just some words\n")
 
 
+@pytest.mark.parametrize("line", ["batch_size = x", "n_max = 1.5", "dtype = float16",
+                                  "batch_size = 0", "hidden = 7", "learning_rate = -1"])
+def test_parse_config_bad_value_names_line_and_key(line):
+    key = line.split()[0]
+    with pytest.raises(ParseError, match=f"line 3: bad {key} value"):
+        parse_config_text(f"# a config\nseed = 1\n{line}\n")
+
+
 def test_grads_shape_matches_params():
     sset = tiny_dataset(count=6)
     config = TrainConfig(learning_rate=1e-3, batch_size=3, max_epochs=1, seed=0)
