@@ -13,13 +13,12 @@ import math
 import re
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .decode import Trajectory, plan, stitch
 from .errors import CppnetError, EmptyRecords, ParseError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .model import ModelParams
 from .oracle import cost_matrix, two_opt
 from .scenario import GridMap, ScenarioSet
@@ -156,14 +155,14 @@ def save_records(records, path, model_sha256: str) -> None:
 
 
 def load_records(path) -> list[BenchRecord]:
-    return records_from_csv(Path(path).read_text(encoding="utf-8"))
+    return records_from_csv(read_text(path))
 
 
 def resume_records(path, model_sha256: str) -> list[BenchRecord]:
     """The records of an earlier sweep with the same checkpoint. A v1 file
     names no model and a v2 file of another checkpoint would pass its
     lengths and times off as this one's, so both are refused."""
-    model, records = _parse_records(Path(path).read_text(encoding="utf-8"))
+    model, records = _parse_records(read_text(path))
     if model is None:
         raise ParseError(f"{path} is a v1 records file and names no model; "
                          "refusing to resume it")

@@ -21,7 +21,7 @@ from .bench import (
 )
 from .decode import load_trajectory, plan, save_trajectory
 from .errors import CppnetError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .model import ModelConfig, load_checkpoint
 from .oracle import LabelCache
 from .scenario import dataset_build, load_scenarios, save_scenarios
@@ -99,7 +99,7 @@ def _parse_ratios(text):
 def _scenario_for_file(path):
     from .scenario import scenario_from_text
 
-    return scenario_from_text(Path(path).read_text(encoding="utf-8"))
+    return scenario_from_text(read_text(path))
 
 
 def cmd_generate(args) -> int:

@@ -10,12 +10,11 @@ adversarial ones, because some unvisited cell is always the nearest.
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityExceeded, FormatVersionMismatch, ParseError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .graph import ScenarioGraph, encode
 from .model import ModelParams, heat_for_graph
 from .oracle import Tour
@@ -194,4 +193,4 @@ def save_trajectory(traj: Trajectory, scenario_hash: str, path) -> None:
 
 
 def load_trajectory(path) -> tuple[Trajectory, str]:
-    return trajectory_from_text(Path(path).read_text(encoding="utf-8"))
+    return trajectory_from_text(read_text(path))

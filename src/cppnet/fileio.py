@@ -1,12 +1,15 @@
-"""Atomic file writing helpers.
+"""File helpers: atomic writes and checked text reads.
 
 Every output file in the toolkit is written to a temporary sibling and
-renamed into place, so readers never observe a partial file.
+renamed into place, so readers never observe a partial file. Every text
+file is read as UTF-8, and a byte that does not decode is a ParseError.
 """
 
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import ParseError
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -27,3 +30,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -21,6 +21,11 @@ Conventions:
   - In training mode, batch-norm statistics are pooled over all blocks:
     over real nodes and over real ordered pairs (i != j), summed over
     cache-sized edge tiles; the cache keeps the centred pre-activations.
+  - In eval mode the forward is depth-first and holds no (P, h) array: the
+    conv layers run on the (A, h) adjacency rows only, which are all the
+    node features read, and keep their folded edge terms; the MLP head
+    then runs each edge tile from its embedding through every folded edge
+    update and the MLP.
 """
 
 import json
@@ -65,6 +70,8 @@ class ModelConfig:
             raise ValueError("need at least one conv layer")
         if self.mlp_layers < 1:
             raise ValueError("need at least one MLP layer")
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
 
@@ -293,23 +300,41 @@ def _sigmoid(x):
     return out
 
 
-def embed_input(batch: GraphBatch, params: ModelParams):
+def _adjacency_embedding(batch: GraphBatch, params: ModelParams):
+    """(A, h) embedding rows (length * w_dist + b, w_ind) of the adjacency."""
+    steps = batch.adj_len[:, None] * params.dist_weight + params.dist_bias
+    return np.concatenate([steps, np.broadcast_to(params.indicator_weight, steps.shape)], axis=1)
+
+
+def _embed_tile(tile, tile_nodes, nodes, rows, adj_rows, batch: GraphBatch, params: ModelParams):
+    """Fill an edge tile from _edge_tiles with its input embedding, taking
+    its adjacency rows from adj_rows. The indicator is 1 on an adjacency
+    row, 2 on a diagonal (i, i) row and 0 elsewhere, where the step length
+    is 0 too, so those rows are the bias alone."""
+    half = params.config.hidden // 2
+    # whole rows: two half-row fills took 1.6x as long on a training batch
+    tile[...] = np.concatenate([params.dist_bias, np.zeros_like(params.dist_bias)])
+    edge, src, _ = batch.adj_idx
+    # the adjacency is sorted by source node row, so the tile's edges are a run
+    lo, hi = np.searchsorted(src, (tile_nodes.start, tile_nodes.stop))
+    tile[edge[lo:hi] - rows.start] = adj_rows[lo:hi]
+    _diagonal(tile, tile_nodes, nodes)[:, half:] = 2.0 * params.indicator_weight
+
+
+def embed_input(batch: GraphBatch, params: ModelParams, training: bool = True):
     """Linear embeddings of node coordinates and (step length, indicator)
-    edges: (N, h) node rows and (P, h) edge rows. The indicator is 1 on an
-    adjacency row, 2 on a diagonal (i, i) row and 0 elsewhere, where the
-    step length is 0 too, so those rows are the bias alone."""
+    edges: (N, h) node rows and, in training mode, the (P, h) edge rows; in
+    eval mode only the (A, h) rows of the adjacency, in adj_idx order."""
     h = params.config.hidden
-    half = h // 2
     if params.node_weight.shape != (h, 2):
         raise ShapeMismatch(f"node weight shape {params.node_weight.shape} != ({h}, 2)")
     x0 = batch.coords @ params.node_weight.T + params.node_bias
-    e0 = np.zeros((batch.n_pairs, h), dtype=x0.dtype)
-    e0[:, :half] = params.dist_bias
-    edge = batch.adj_idx[0]
-    e0[edge, :half] = batch.adj_len[:, None] * params.dist_weight + params.dist_bias
-    e0[edge, half:] = params.indicator_weight
+    adj_rows = _adjacency_embedding(batch, params)
+    if not training:
+        return x0, adj_rows
+    e0 = np.empty((batch.n_pairs, h), dtype=x0.dtype)
     for _, nodes, edges in batch.blocks:
-        _diagonal(e0[edges], nodes, nodes)[:, half:] = 2.0 * params.indicator_weight
+        _embed_tile(e0[edges], nodes, nodes, edges, adj_rows, batch, params)
     return x0, e0
 
 
@@ -320,11 +345,12 @@ def _update_running(bn: BatchNorm, mean, var, m: int) -> None:
     bn.run_var[...] = (1 - BN_MOMENTUM) * bn.run_var + BN_MOMENTUM * unbiased
 
 
-def _gate_forward(e, x, layer: ConvLayer, batch: GraphBatch):
-    """Neighbor aggregation sum_j eta_ij * (W_neighbor x_j) on adjacency entries."""
+def _gate_forward(e_adj, x, layer: ConvLayer, batch: GraphBatch):
+    """Neighbor aggregation sum_j eta_ij * (W_neighbor x_j) from the (A, h)
+    adjacency edge rows."""
     v = x @ layer.w_neighbor.T
-    edge, _, dst = batch.adj_idx
-    sg_vals = _sigmoid(e[edge])
+    dst = batch.adj_idx[2]
+    sg_vals = _sigmoid(e_adj)
     den = _segment_scatter(sg_vals, batch.row_starts, batch.row_ids, len(x)) + GATE_EPS
     raw = _segment_scatter(sg_vals * v[dst], batch.row_starts, batch.row_ids, len(x))
     agg = raw / den
@@ -343,9 +369,11 @@ def _edge_tiles(batch: GraphBatch):
                    slice(edges.start + i * nb, edges.start + k * nb))
 
 
-def _tile_buffer(batch: GraphBatch, h: int, dtype):
-    """Scratch rows for the largest edge tile."""
-    return np.empty((min(batch.n_pairs, max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
+def _tile_buffers(batch: GraphBatch, count: int, h: int, dtype):
+    """count blocks of scratch rows for the largest edge tile, in one
+    allocation: glibc's malloc handed two separate 0.8 MB blocks back to the
+    system after every call, so each 10x10 heat took about 370 page faults."""
+    return np.empty((count, min(batch.n_pairs, max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
 
 
 def _diagonal(tile, tile_nodes, nodes):
@@ -353,43 +381,49 @@ def _diagonal(tile, tile_nodes, nodes):
     return tile[tile_nodes.start - nodes.start :: nodes.stop - nodes.start + 1]
 
 
-def _edge_update_eval(x, e, layer: ConvLayer, batch: GraphBatch):
-    """Eval-mode edge update in place, e += relu(BN(e W_edge^T + s_i + r_j)),
-    tile by tile. Under running statistics batch norm is the fixed affine map
-    k * t + c, k = gamma / sqrt(var + eps), c = beta - k * mean, so it is
-    folded into the edge weight and the source and target terms."""
+def _fold_edge_bn(x, layer: ConvLayer):
+    """Eval-mode edge terms with batch norm folded in: under running
+    statistics it is the fixed affine map k * t + c, k = gamma / sqrt(var +
+    eps), c = beta - k * mean, so it scales the edge weight and the source
+    and target terms, and c joins the source term. Returns (W', s', r')."""
     bn = layer.bn_edge
     k = bn.gamma / np.sqrt(bn.run_var + BN_EPS)
-    w_edge = layer.w_edge.T * k
-    source = x @ (layer.w_source.T * k) + (bn.beta - k * bn.run_mean)
-    target = x @ (layer.w_target.T * k)
-    h = x.shape[1]
-    buf = _tile_buffer(batch, h, e.dtype)
-    for tile_nodes, nodes, rows in _edge_tiles(batch):
-        t = np.matmul(e[rows], w_edge, out=buf[: rows.stop - rows.start])
-        block = t.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
-        block += source[tile_nodes, None, :]
-        block += target[None, nodes, :]
-        np.maximum(t, 0.0, out=t)
-        e[rows] += t
+    return (layer.w_edge.T * k,
+            x @ (layer.w_source.T * k) + (bn.beta - k * bn.run_mean),
+            x @ (layer.w_target.T * k))
+
+
+def _edge_update(e, w_edge, source, target, out=None):
+    """Folded eval edge update in place, e += relu(e W' + s' + r'). The rows
+    of e are k runs of m rows: source is (k, 1, h), one term per run, and
+    target (1, m, h) or (k, m, h)."""
+    t = np.matmul(e, w_edge, out=out)
+    view = t.reshape(len(source), target.shape[1], t.shape[1])
+    view += source
+    view += target
+    np.maximum(t, 0.0, out=t)
+    e += t
 
 
 def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
                  update_stats: bool | None = None):
     """One residual gated graph-convolution layer on (N, h) node rows and
-    (P, h) edge rows.
+    edge rows: all (P, h) pair rows in training mode, the (A, h) adjacency
+    rows in eval mode.
 
     Returns the next node and edge features plus, in training mode, the
     cache conv_backward reads: the layer inputs, the gate terms, the
     centred pre-activations, the ReLU masks and the batch variances; a
-    non-finite value raises NonFiniteActivation. In eval mode the edge
-    rows are updated in place and returned, and the cache is None.
+    non-finite value raises NonFiniteActivation. In eval mode the adjacency
+    rows are updated in place and returned, and the cache is the layer's
+    folded edge terms (W', s', r'), from which mlp_head builds every pair.
     """
     if update_stats is None:
         update_stats = training
     if training and not batch.pair_mask.any():
         raise DegenerateBatch("no real pair for the edge batch statistics")
-    sg_vals, den, raw, v, agg = _gate_forward(e, x, layer, batch)
+    sg_vals, den, raw, v, agg = _gate_forward(e[batch.adj_idx[0]] if training else e,
+                                              x, layer, batch)
 
     s = x @ layer.w_self.T + agg
     bn_n = layer.bn_node
@@ -398,8 +432,10 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     y_n = bn_n.gamma * (s_c / np.sqrt(var_n + BN_EPS)) + bn_n.beta
     x_next = x + np.maximum(y_n, 0.0)
     if not training:
-        _edge_update_eval(x, e, layer, batch)
-        return x_next, e, None
+        folded = _fold_edge_bn(x, layer)
+        _, src, dst = batch.adj_idx
+        _edge_update(e, folded[0], folded[1][src, None], folded[2][dst, None])
+        return x_next, e, folded
 
     # training: t = e W_edge^T + s_i + r_j in three tile sweeps (sum, centred
     # squares, output); the diagonal (i == j) rows are left out of the sums
@@ -472,8 +508,7 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
 
     # edge branch: e_next = e + relu(k * t_c + beta); the pooled sums come
     # first, over every row (the diagonal rows of de_next are 0)
-    ge_buf = _tile_buffer(batch, h, x.dtype)
-    work = _tile_buffer(batch, h, x.dtype)
+    ge_buf, work = _tile_buffers(batch, 2, h, x.dtype)
     g_sum = np.zeros(h, dtype=x.dtype)
     gc_sum = np.zeros(h, dtype=x.dtype)
     for _, _, rows in _edge_tiles(batch):
@@ -528,22 +563,33 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     return dx, de_next, grads
 
 
-def mlp_head(e_final, params: ModelParams, batch: GraphBatch, training: bool):
+def mlp_head(e_final, params: ModelParams, batch: GraphBatch, training: bool, folded=()):
     """Per-edge probability via the MLP over final edge rows, in edge tiles.
 
     Returns the (P,) probabilities and, in training mode, the input of
-    every MLP layer, which _mlp_backward reads. In eval mode the hidden
-    rows run through one scratch buffer, and the inputs are None.
+    every MLP layer, which _mlp_backward reads. In eval mode e_final, the
+    final adjacency rows, gives only the dtype: each tile's pair rows are
+    embedded, run through every layer's folded edge update (folded holds
+    one (W', s', r') per conv layer) and the MLP in two scratch buffers,
+    and the inputs are None.
     """
     last = len(params.mlp_weights) - 1
-    heat = np.empty(len(e_final), dtype=e_final.dtype)
+    heat = np.empty(batch.n_pairs, dtype=e_final.dtype)
     if training:
         inputs = [e_final] + [np.empty_like(e_final) for _ in range(last)]
     else:
         inputs = None
-        buf = _tile_buffer(batch, e_final.shape[1], e_final.dtype)
-    for _, _, rows in _edge_tiles(batch):
-        z = e_final[rows]
+        tile_buf, buf = _tile_buffers(batch, 2, e_final.shape[1], e_final.dtype)
+        adj_rows = _adjacency_embedding(batch, params)
+    for tile_nodes, nodes, rows in _edge_tiles(batch):
+        if training:
+            z = e_final[rows]
+        else:
+            z = tile_buf[: rows.stop - rows.start]
+            _embed_tile(z, tile_nodes, nodes, rows, adj_rows, batch, params)
+            for w_edge, source, target in folded:
+                _edge_update(z, w_edge, source[tile_nodes, None], target[None, nodes],
+                             out=buf[: len(z)])
         for k in range(last):
             out = inputs[k + 1][rows] if training else buf[: len(z)]
             z = np.matmul(z, params.mlp_weights[k].T, out=out)
@@ -561,7 +607,7 @@ def _mlp_backward(dlogits, inputs, params: ModelParams, batch: GraphBatch):
     grads_w = [np.zeros_like(w) for w in params.mlp_weights]
     grads_b = [np.zeros_like(b) for b in params.mlp_biases]
     de = np.empty_like(inputs[0])
-    buf = _tile_buffer(batch, de.shape[1], de.dtype)
+    buf, = _tile_buffers(batch, 1, de.shape[1], de.dtype)
     for _, _, rows in _edge_tiles(batch):
         dz = dlogits[rows, None]
         for k in reversed(range(len(params.mlp_weights))):
@@ -588,12 +634,12 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False,
         raise ShapeMismatch(
             f"batch capacity {batch.n} exceeds model n_max {params.config.n_max}"
         )
-    x, e = embed_input(batch, params)
+    x, e = embed_input(batch, params, training)
     layer_caches = []
     for layer in params.layers:
         x, e, cache = conv_forward(x, e, layer, batch, training, update_stats)
         layer_caches.append(cache)
-    rows, mlp_inputs = mlp_head(e, params, batch, training)
+    rows, mlp_inputs = mlp_head(e, params, batch, training, () if training else layer_caches)
     heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)
     heat[batch.block_mask] = rows
     if not training:

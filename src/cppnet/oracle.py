@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import FormatVersionMismatch, ParseError, TooLarge
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .scenario import GridMap, free_cell_edges
 
 LABELS_HEADER = "cpp-labels v2"
@@ -244,7 +244,7 @@ class LabelCache:
         if self.cache_dir is not None:
             path = self._path(key)
             if path.is_file():
-                stored_hash, pairs = labels_from_text(path.read_text(encoding="utf-8"),
+                stored_hash, pairs = labels_from_text(read_text(path),
                                                       self.seed, self.connectivity)
                 if stored_hash != key:
                     raise ParseError(f"label cache {path} keyed for {stored_hash}, not {key}")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConnectivityFailure, FormatVersionMismatch, InvalidDensity, ParseError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 
 SCENARIO_HEADER = "cpp-scenario v1"
 MANIFEST_HEADER = "cpp-scenario-set v1"
@@ -429,7 +429,7 @@ def load_scenarios(path) -> ScenarioSet:
     manifest_path = root / "manifest.txt"
     if not manifest_path.is_file():
         raise ParseError(f"no manifest.txt under {root}")
-    lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(manifest_path).splitlines()
     if not lines:
         raise ParseError("empty manifest")
     head = lines[0].split()
@@ -449,6 +449,9 @@ def load_scenarios(path) -> ScenarioSet:
         name, tag = parts
         if tag not in SPLITS:
             raise ParseError(f"unknown split tag {tag!r}")
-        scenarios.append(scenario_from_text((root / name).read_text(encoding="utf-8")))
+        # a name is a file of the set's own directory, never a path out of it
+        if Path(name).name != name or not (root / name).is_file():
+            raise ParseError(f"manifest names {name!r}, which is no file in {root}")
+        scenarios.append(scenario_from_text(read_text(root / name)))
         tags.append(tag)
     return ScenarioSet(scenarios, tags, seed)

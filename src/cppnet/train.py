@@ -6,6 +6,7 @@ deterministic per-epoch shuffle of the master seed, so identical
 configurations reproduce identical loss curves in serial mode.
 """
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateBatch, EmptyEvalSet, ParseError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .graph import encode
 from .model import (
     ModelConfig,
@@ -44,8 +45,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be finite and > 0")
 
 
 @dataclass
@@ -284,4 +292,4 @@ def parse_config_text(text: str) -> tuple[TrainConfig, ModelConfig]:
 
 
 def load_config(path) -> tuple[TrainConfig, ModelConfig]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(read_text(path))

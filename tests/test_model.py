@@ -378,6 +378,44 @@ def test_eval_forward_peak_memory_is_about_one_edge_array():
     assert peak <= 1.5 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
 
 
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_eval_heat_independent_of_tile_size(connectivity, monkeypatch):
+    # each pair tile rebuilds its edge chains from the embedding and the
+    # node features of every layer: tiles of one source row, ragged tiles
+    # and one tile per block give one heat, also for a one-free-cell map
+    lone = scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n")
+    grids = [generate_scenario(3, 3, 1.0, 0.4, seed=2), lone,
+             generate_scenario(3, 4, 1.0, 0.3, seed=5)]
+    n = max(g.n_free for g in grids) + 3
+    batch = stack_graphs([encode(g, n, connectivity) for g in grids])
+    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=n)
+    params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
+    ref, _ = forward(batch, params, training=False)
+    for tile_rows in (1, 20, 10**6):
+        monkeypatch.setattr(model, "EDGE_TILE_ROWS", tile_rows)
+        heat, _ = forward(batch, params, training=False)
+        assert np.abs(heat - ref).max() <= 1e-12, tile_rows
+        assert np.all(heat[~batch.block_mask] == 0.0)
+
+
+def test_eval_forward_keeps_no_edge_array():
+    # only the adjacency rows run through the conv stack; every pair is
+    # built in a cache-sized tile, so the peak is a fraction of one (P, h)
+    # array (64 MB here)
+    grid = generate_scenario(20, 20, 1.0, 0.0, seed=0)
+    config = ModelConfig(n_max=grid.n_free)
+    params = init_params(config, seed=0)
+    graph = encode(grid, grid.n_free)
+    edge_bytes = grid.n_free ** 2 * config.hidden * np.dtype(config.np_dtype).itemsize
+    tracemalloc.start()
+    try:
+        heat_for_graph(graph, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
+
+
 def test_permutation_equivariance_eval_mode():
     grid, graph, config, params, batch, _ = small_setup(pad=0)
     heat, _ = forward(batch, params, training=False)

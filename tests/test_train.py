@@ -212,7 +212,9 @@ def test_parse_config_rejects_unknown_keys():
 
 
 @pytest.mark.parametrize("line", ["batch_size = x", "n_max = 1.5", "dtype = float16",
-                                  "batch_size = 0", "hidden = 7", "learning_rate = -1"])
+                                  "batch_size = 0", "hidden = 7", "learning_rate = -1",
+                                  "learning_rate = nan", "max_epochs = 0", "beta1 = 1",
+                                  "beta2 = -0.5", "eps = inf", "eps = 0", "n_max = 0"])
 def test_parse_config_bad_value_names_line_and_key(line):
     key = line.split()[0]
     with pytest.raises(ParseError, match=f"line 3: bad {key} value"):
