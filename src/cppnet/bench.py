@@ -42,15 +42,15 @@ class BenchRecord:
     wall_time_s: float
 
 
-def solve_two_opt(grid: GridMap, connectivity: int = 4, seed: int = 0) -> Trajectory:
+def solve_two_opt(grid: GridMap, connectivity: int = 4) -> Trajectory:
     """Baseline pipeline: cost matrix, nearest-neighbor init, 2-opt, stitch."""
     costs = cost_matrix(grid, connectivity)
-    tour = two_opt(costs, grid.start_slot, seed)
+    tour = two_opt(costs, grid.start_slot)
     return stitch(tour, grid, connectivity)
 
 
 def run_benchmark(sset: ScenarioSet, params: ModelParams, connectivity: int = 4,
-                  seed: int = 0, prior_records=(), on_failure=None) -> list[BenchRecord]:
+                  prior_records=(), on_failure=None) -> list[BenchRecord]:
     """Both methods on every test-split scenario, skipping recorded hashes.
 
     A CppnetError ends that scenario's turn and goes to
@@ -65,7 +65,7 @@ def run_benchmark(sset: ScenarioSet, params: ModelParams, connectivity: int = 4,
         try:
             if (key, METHOD_TWO_OPT) not in done:
                 t0 = time.perf_counter()
-                traj = solve_two_opt(grid, connectivity, seed)
+                traj = solve_two_opt(grid, connectivity)
                 elapsed = time.perf_counter() - t0
                 records.append(BenchRecord(key, density, METHOD_TWO_OPT, traj.length, elapsed))
             if (key, METHOD_LEARNED) not in done:

@@ -24,7 +24,7 @@ from .errors import CppnetError
 from .fileio import atomic_write_text, read_text
 from .model import ModelConfig, load_checkpoint
 from .oracle import LabelCache
-from .scenario import dataset_build, load_scenarios, save_scenarios
+from .scenario import dataset_build, load_scenarios, save_scenarios, split_sizes
 from .train import TrainConfig, load_config, prepare_labels, train
 
 FORMAT_VERSIONS = "formats: cpp-scenario v1, cpp-scenario-set v1, cpp-labels v2, cpp-traj v1, cpp-checkpoint v1, cpp-bench-records v2"
@@ -87,13 +87,16 @@ def build_parser() -> Parser:
     return parser
 
 
-def _parse_ratios(text):
+def _parse_ratios(text, count):
+    """The --ratios fractions; any value split_sizes refuses is a usage error."""
     if text is None:
         return PAPER_RATIOS
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise UsageError("--ratios needs three comma-separated fractions")
-    return tuple(parts)
+    try:
+        ratios = tuple(float(x) for x in text.split(","))
+        split_sizes(count, ratios)
+    except ValueError as exc:
+        raise UsageError(f"--ratios {text}: {exc}") from exc
+    return ratios
 
 
 def _scenario_for_file(path):
@@ -109,7 +112,7 @@ def cmd_generate(args) -> int:
         args.cols,
         args.cell_size,
         (args.density_min, args.density_max),
-        _parse_ratios(args.ratios),
+        _parse_ratios(args.ratios, args.count),
         args.seed,
     )
     save_scenarios(sset, args.out)

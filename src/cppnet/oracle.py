@@ -21,6 +21,7 @@ from .scenario import GridMap, free_cell_edges
 
 LABELS_HEADER = "cpp-labels v2"
 TWO_OPT_RESTARTS = 8
+TWO_OPT_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,21 +114,21 @@ def _two_opt_descent(order: list, cost: np.ndarray) -> list:
     return order
 
 
-def two_opt(costs: CostMatrix, start: int = 0, seed: int = 0, restarts: int = TWO_OPT_RESTARTS) -> Tour:
-    """Best of several first-improvement 2-opt descents over an open path.
+def two_opt(costs: CostMatrix, start: int = 0) -> Tour:
+    """Best of TWO_OPT_RESTARTS first-improvement 2-opt descents, open path.
 
     Nearest-neighbor cost ties pick the construction: the first descent
     breaks them toward the lowest slot index, the remaining descents
-    perturb them with seed-derived draws (grid cost matrices tie
+    perturb them with draws from TWO_OPT_SEED (grid cost matrices tie
     constantly, and the tie taken at a junction often decides which
-    2-opt basin the descent lands in). Deterministic given the seed. A
+    2-opt basin the descent lands in), so the tour is deterministic. A
     single node gives the tour (start,) of length 0.
     """
     cost = costs.cost
     best_order = None
     best_len = np.inf
-    for r in range(max(1, restarts)):
-        rng = None if r == 0 else np.random.default_rng([seed, r])
+    for r in range(TWO_OPT_RESTARTS):
+        rng = None if r == 0 else np.random.default_rng([TWO_OPT_SEED, r])
         order = _two_opt_descent(list(nearest_neighbor_tour(costs, start, rng).order), cost)
         length = tour_length(costs, order)
         if length < best_len - 1e-9:
@@ -168,25 +169,25 @@ def label_pairs(tour: Tour) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _settings(seed: int, connectivity: int) -> list[str]:
-    return f"seed {seed} connectivity {connectivity} restarts {TWO_OPT_RESTARTS}".split()
+def _settings(connectivity: int) -> list[str]:
+    return f"seed {TWO_OPT_SEED} connectivity {connectivity} restarts {TWO_OPT_RESTARTS}".split()
 
 
-def labels_to_text(scenario_hash: str, pairs, seed: int = 0, connectivity: int = 4) -> str:
-    lines = [" ".join([LABELS_HEADER, scenario_hash, *_settings(seed, connectivity)])]
+def labels_to_text(scenario_hash: str, pairs, connectivity: int = 4) -> str:
+    lines = [" ".join([LABELS_HEADER, scenario_hash, *_settings(connectivity)])]
     lines.extend(f"{i} {j}" for i, j in pairs)
     return "\n".join(lines) + "\n"
 
 
-def labels_from_text(text: str, seed: int = 0, connectivity: int = 4) -> tuple[str, list[tuple[int, int]]]:
+def labels_from_text(text: str, connectivity: int = 4) -> tuple[str, list[tuple[int, int]]]:
     """Scenario hash and pairs; labels made under other settings are a ParseError."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty labels file")
     head = lines[0].split()
     if head[:2] == ["cpp-labels", "v1"] and len(head) == 3:  # made under the defaults
-        head = LABELS_HEADER.split() + head[2:] + _settings(0, 4)
-    want = _settings(seed, connectivity)
+        head = LABELS_HEADER.split() + head[2:] + _settings(4)
+    want = _settings(connectivity)
     if " ".join(head[:2]) != LABELS_HEADER or len(head) != 9 or head[3::2] != want[::2]:
         raise FormatVersionMismatch(f"bad labels header: {lines[0]!r}")
     if head[3:] != want:
@@ -228,9 +229,8 @@ def pairs_to_matrix(pairs, n_max: int) -> np.ndarray:
 class LabelCache:
     """Disk cache of 2-opt label pairs by scenario hash; a file names its settings."""
 
-    def __init__(self, cache_dir, seed: int = 0, connectivity: int = 4):
+    def __init__(self, cache_dir, connectivity: int = 4):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.seed = seed
         self.connectivity = connectivity
         self._memory: dict[str, list[tuple[int, int]]] = {}
 
@@ -244,15 +244,14 @@ class LabelCache:
         if self.cache_dir is not None:
             path = self._path(key)
             if path.is_file():
-                stored_hash, pairs = labels_from_text(read_text(path),
-                                                      self.seed, self.connectivity)
+                stored_hash, pairs = labels_from_text(read_text(path), self.connectivity)
                 if stored_hash != key:
                     raise ParseError(f"label cache {path} keyed for {stored_hash}, not {key}")
                 _check_label_pairs(pairs, grid.n_free, f"label cache {path}")
                 self._memory[key] = pairs
                 return pairs
         costs = cost_matrix(grid, self.connectivity)
-        tour = two_opt(costs, grid.start_slot, self.seed)
+        tour = two_opt(costs, grid.start_slot)
         pairs = label_pairs(tour)
         self.store(grid, pairs)
         return pairs
@@ -263,4 +262,4 @@ class LabelCache:
         if self.cache_dir is not None:
             path = self._path(key)
             if not path.is_file():
-                atomic_write_text(path, labels_to_text(key, pairs, self.seed, self.connectivity))
+                atomic_write_text(path, labels_to_text(key, pairs, self.connectivity))

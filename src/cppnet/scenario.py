@@ -24,6 +24,11 @@ MANIFEST_HEADER = "cpp-scenario-set v1"
 
 SPLITS = ("train", "validation", "test")
 
+# every generated map's start cell, and generate_scenario's draw budgets
+START_CELL = (0, 0)
+REJECTION_TRIES = 100
+MAX_TRIES = 1000
+
 ORTHO_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 DIAG_STEPS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
@@ -216,16 +221,16 @@ def _articulation_cells(free: set, start, connectivity: int) -> set:
     return articulation
 
 
-def _connected_placement(rows, cols, n_obstacles, start, connectivity, rng) -> np.ndarray:
+def _connected_placement(rows, cols, n_obstacles, connectivity, rng) -> np.ndarray:
     """Place obstacles one by one, choosing uniformly among free cells whose
     removal keeps the remaining free cells connected. Never gets stuck: a
     connected graph on >= 3 vertices always has a non-articulation vertex
-    other than the start."""
+    other than the start cell."""
     free = {(r, c) for r in range(rows) for c in range(cols)}
     occ = np.zeros((rows, cols), dtype=bool)
     for _ in range(n_obstacles):
-        blocked = _articulation_cells(free, start, connectivity)
-        candidates = sorted(free - blocked - {start})
+        blocked = _articulation_cells(free, START_CELL, connectivity)
+        candidates = sorted(free - blocked - {START_CELL})
         cell = candidates[int(rng.integers(len(candidates)))]
         free.remove(cell)
         occ[cell] = True
@@ -239,15 +244,13 @@ def generate_scenario(
     density: float,
     seed: int,
     connectivity: int = 4,
-    start: tuple[int, int] = (0, 0),
-    max_retries: int = 1000,
 ) -> GridMap:
     """Generate one random scenario with an exact obstacle count.
 
-    Obstacles are placed uniformly at random over all non-start cells;
+    Obstacles are placed uniformly at random over all cells but START_CELL;
     layouts with disconnected free cells are rejected and regenerated
     from a derived sub-seed. Unconditioned uniform placement is almost
-    never connected above ~35% density, so after a bounded number of
+    never connected above ~35% density, so after REJECTION_TRIES
     rejections placement switches to a connectivity-preserving sequential
     draw (uniform among cells that are safe to block at each step). The
     result is a pure function of the arguments either way.
@@ -256,30 +259,27 @@ def generate_scenario(
         raise InvalidDensity(f"density {density} outside [0, 0.5]")
     if rows < 2 or cols < 2:
         raise ValueError("rows and cols must be >= 2")
-    if not (0 <= start[0] < rows and 0 <= start[1] < cols):
-        raise ValueError(f"start {start} outside the {rows}x{cols} grid")
     n_cells = rows * cols
     n_obstacles = int(round(density * n_cells))
-    candidates = [(r, c) for r in range(rows) for c in range(cols) if (r, c) != start]
+    candidates = [(r, c) for r in range(rows) for c in range(cols) if (r, c) != START_CELL]
     if n_obstacles > len(candidates) - 1:
         raise InvalidDensity(f"cannot place {n_obstacles} obstacles on {n_cells} cells")
 
-    rejection_tries = min(100, max_retries)
-    for attempt in range(max_retries):
+    for attempt in range(MAX_TRIES):
         rng = np.random.default_rng([seed, attempt])
-        if attempt < rejection_tries:
+        if attempt < REJECTION_TRIES:
             occ = np.zeros((rows, cols), dtype=bool)
             if n_obstacles:
                 picks = rng.choice(len(candidates), size=n_obstacles, replace=False)
                 for k in picks:
                     occ[candidates[k]] = True
         else:
-            occ = _connected_placement(rows, cols, n_obstacles, start, connectivity, rng)
-        grid = GridMap(rows, cols, float(cell_size), occ, start)
+            occ = _connected_placement(rows, cols, n_obstacles, connectivity, rng)
+        grid = GridMap(rows, cols, float(cell_size), occ, START_CELL)
         if grid.n_free >= 2 and free_cells_connected(grid, connectivity):
             return grid
     raise ConnectivityFailure(
-        f"no connected layout at density {density} on {rows}x{cols} in {max_retries} tries"
+        f"no connected layout at density {density} on {rows}x{cols} in {MAX_TRIES} tries"
     )
 
 
@@ -317,14 +317,15 @@ class ScenarioSet:
 def split_sizes(count: int, ratios) -> tuple[int, int, int]:
     """Exact split sizes; fractional remainders all land in the train split."""
     train_ratio, val_ratio, test_ratio = ratios
+    for ratio in ratios:
+        if not 0.0 <= ratio <= 1.0:
+            raise ValueError(f"split ratio {ratio} outside [0, 1]")
     if abs(train_ratio + val_ratio + test_ratio - 1.0) > 1e-9:
         raise ValueError("split ratios must sum to 1")
     n_val = int(np.floor(val_ratio * count + 1e-9))
     n_test = int(np.floor(test_ratio * count + 1e-9))
-    n_train = count - n_val - n_test
-    if n_train < 0:
-        raise ValueError("ratios leave no room for the train split")
-    return n_train, n_val, n_test
+    # ratios in [0, 1] summing to 1 leave n_val + n_test <= count
+    return count - n_val - n_test, n_val, n_test
 
 
 def dataset_build(
@@ -346,6 +347,7 @@ def dataset_build(
     """
     if count < 3:
         raise ValueError("need at least 3 scenarios")
+    n_train, n_val, n_test = split_sizes(count, ratios)
     lo, hi = density_range
     if not (0.0 <= lo <= hi <= 0.5):
         raise InvalidDensity(f"density range [{lo}, {hi}] outside [0, 0.5]")
@@ -363,7 +365,6 @@ def dataset_build(
         except (InvalidDensity, ConnectivityFailure) as exc:
             raise type(exc)(f"scenario {i}: {exc}") from exc
 
-    n_train, n_val, n_test = split_sizes(count, ratios)
     tags = ["train"] * n_train + ["validation"] * n_val + ["test"] * n_test
     shuffle_rng = np.random.default_rng([seed, count])
     shuffle_rng.shuffle(tags)

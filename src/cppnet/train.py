@@ -133,11 +133,11 @@ def _batch_tensors(graphs, pair_lists, n_max, dtype):
     return batch, labels
 
 
-def evaluate(params: ModelParams, scenarios: list[GridMap], threshold: float = 0.5,
+def evaluate(params: ModelParams, scenarios: list[GridMap],
              label_cache: LabelCache | None = None, connectivity: int = 4):
     """Eval-mode loss and edge precision/recall/F1 over masked pairs.
 
-    Ties at the threshold predict positive. Metrics pool every masked
+    A heat of 0.5 or more predicts an edge. Metrics pool every masked
     edge across the whole scenario list.
     """
     if not scenarios:
@@ -160,7 +160,7 @@ def evaluate(params: ModelParams, scenarios: list[GridMap], threshold: float = 0
             weights.append(int(mask.sum()))
         except DegenerateBatch:
             pass
-        pred = heat[mask] >= threshold
+        pred = heat[mask] >= 0.5
         truth = labels[mask] > 0.5
         tp += int(np.sum(pred & truth))
         fp += int(np.sum(pred & ~truth))

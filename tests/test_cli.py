@@ -42,6 +42,24 @@ def test_generate_writes_files_and_manifest(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("ratios, reason", [
+    ("a,b,c", "could not convert"),
+    ("1.2,-0.1,-0.1", "split ratio 1.2 outside"),
+    ("0.5,0.3,0.1", "sum to 1"),
+    ("0.5,0.5", "expected 3, got 2"),
+], ids=["not-a-number", "out-of-range", "sum-not-1", "two-fractions"])
+def test_generate_bad_ratios_usage_error(tmp_path, capsys, ratios, reason):
+    out = tmp_path / "data"
+    code = run(
+        "generate", "--count", "3", "--rows", "4", "--cols", "4",
+        "--cell-size", "1", "--density-min", "0", "--density-max", "0.2",
+        "--seed", "7", "--ratios", ratios, "--out", str(out),
+    )
+    assert code == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_verb_usage_error(capsys):
     assert run("conquer") == 1
     err = capsys.readouterr().err

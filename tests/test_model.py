@@ -93,20 +93,17 @@ def test_embed_zero_cases():
     # zero bias: every real node embeds its coordinates and nothing else
     assert x0.shape == (batch.real.sum(), params.config.hidden)
     assert np.allclose(x0, batch.coords @ params.node_weight.T, rtol=0.0, atol=1e-15)
-    # a non-adjacent real pair has zero distance and zero indicator ->
-    # zero edge embedding
-    apart = batch.pair_mask[batch.block_mask]
+    # every non-adjacent pair, the diagonal (i, i) included, has zero
+    # distance and zero indicator -> zero edge embedding
+    apart = np.ones(len(e0), dtype=bool)
     apart[batch.adj_idx[0]] = False
-    assert apart.any()
+    assert apart.sum() > (~batch.pair_mask[batch.block_mask]).sum() > 0
     assert np.all(e0[apart] == 0.0)
-    # an adjacent pair embeds (step length, 1), the diagonal (0, 2)
+    # an adjacent pair embeds (step length, 1)
     half = params.config.hidden // 2
     adjacent = e0[batch.adj_idx[0]]
     assert np.array_equal(adjacent[:, :half], batch.adj_len[:, None] * params.dist_weight)
     assert np.all(adjacent[:, half:] == params.indicator_weight)
-    diagonal = e0[~batch.pair_mask[batch.block_mask]]
-    assert np.all(diagonal[:, :half] == 0.0)
-    assert np.all(diagonal[:, half:] == 2.0 * params.indicator_weight)
 
 
 def test_embed_linearity():

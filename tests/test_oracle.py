@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from cppnet import oracle
 from cppnet.errors import FormatVersionMismatch, ParseError, TooLarge
 from cppnet.oracle import (
+    TWO_OPT_RESTARTS,
     LabelCache,
     brute_force,
     cost_matrix,
@@ -136,7 +138,19 @@ def test_two_opt_deterministic_given_seed():
     grid = generate_scenario(6, 6, 1.0, 0.3, seed=13)
     costs = cost_matrix(grid)
     assert two_opt(costs, 0).order == two_opt(costs, 0).order
-    assert two_opt(costs, 0, seed=5).order == two_opt(costs, 0, seed=5).order
+
+
+def test_two_opt_runs_its_fixed_restarts(monkeypatch):
+    calls = []
+    descent = oracle._two_opt_descent
+
+    def counted(order, cost):
+        calls.append(tuple(order))
+        return descent(order, cost)
+
+    monkeypatch.setattr(oracle, "_two_opt_descent", counted)
+    two_opt(cost_matrix(generate_scenario(6, 6, 1.0, 0.3, seed=13)), 0)
+    assert len(calls) == TWO_OPT_RESTARTS == 8
 
 
 def test_brute_force_bounds_two_opt():
@@ -212,20 +226,52 @@ def test_label_cache_reuses_disk(tmp_path):
     assert matrix.sum() == 2 * len(pairs)
 
 
+# the exact bytes of both connectivities' label files for one map; any
+# change to the 2-opt oracle's settings or tours shows here
+GOLDEN_LABELS = {
+    4: "seed 0 connectivity 4 restarts 8\n0 4\n1 2\n2 3\n3 5\n4 7\n5 6\n6 11\n7 12\n"
+       "8 9\n8 14\n9 10\n10 11\n12 13\n13 16\n14 15\n15 19\n16 17\n17 18\n18 19\n",
+    8: "seed 0 connectivity 8 restarts 8\n0 1\n1 2\n2 3\n3 5\n4 7\n4 8\n5 6\n6 11\n7 12\n"
+       "8 9\n9 10\n10 11\n12 13\n13 16\n14 15\n14 17\n15 18\n16 17\n18 19\n",
+}
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_label_file_golden_bytes(tmp_path, connectivity):
+    grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
+    LabelCache(tmp_path, connectivity=connectivity).pairs_for(grid)
+    text = (tmp_path / f"{grid.content_hash()}.labels").read_text()
+    assert text == "cpp-labels v2 0c21e97059c624d0 " + GOLDEN_LABELS[connectivity]
+
+
+def _rewrite_settings(path, settings):
+    text = path.read_text()
+    head, rest = text.split("\n", 1)
+    path.write_text(" ".join(head.split()[:3] + settings.split()) + "\n" + rest)
+
+
 def test_label_file_names_its_settings(tmp_path):
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
-    LabelCache(tmp_path, seed=3, connectivity=8).pairs_for(grid)
-    head = (tmp_path / f"{grid.content_hash()}.labels").read_text().splitlines()[0]
-    assert head == f"cpp-labels v2 {grid.content_hash()} seed 3 connectivity 8 restarts 8"
-    assert LabelCache(tmp_path, seed=3, connectivity=8).pairs_for(grid)
+    LabelCache(tmp_path, connectivity=8).pairs_for(grid)
+    path = tmp_path / f"{grid.content_hash()}.labels"
+    head = path.read_text().splitlines()[0]
+    assert head == f"cpp-labels v2 {grid.content_hash()} seed 0 connectivity 8 restarts 8"
+    assert LabelCache(tmp_path, connectivity=8).pairs_for(grid)
+    _rewrite_settings(path, "seed 3 connectivity 8 restarts 8")
+    with pytest.raises(ParseError, match="made with seed 3 connectivity 8 restarts 8, not seed 0"):
+        LabelCache(tmp_path, connectivity=8).pairs_for(grid)
 
 
-@pytest.mark.parametrize("settings", [{"seed": 1}, {"connectivity": 8}], ids=["seed", "connectivity"])
-def test_label_cache_refuses_labels_of_other_settings(tmp_path, settings):
+@pytest.mark.parametrize("settings, connectivity", [
+    ("seed 1 connectivity 4 restarts 8", 4),
+    ("seed 0 connectivity 4 restarts 8", 8),
+], ids=["seed", "connectivity"])
+def test_label_cache_refuses_labels_of_other_settings(tmp_path, settings, connectivity):
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
     LabelCache(tmp_path).pairs_for(grid)
-    with pytest.raises(ParseError, match="labels made with seed 0 connectivity 4 restarts 8"):
-        LabelCache(tmp_path, **settings).pairs_for(grid)
+    _rewrite_settings(tmp_path / f"{grid.content_hash()}.labels", settings)
+    with pytest.raises(ParseError, match=f"labels made with {settings}, not "):
+        LabelCache(tmp_path, connectivity=connectivity).pairs_for(grid)
 
 
 def test_label_file_of_other_restarts_refused():
@@ -233,24 +279,27 @@ def test_label_file_of_other_restarts_refused():
         labels_from_text("cpp-labels v2 deadbeef seed 0 connectivity 4 restarts 2\n0 1\n")
 
 
-@pytest.mark.parametrize("settings", [
-    {}, {"seed": 1}, {"connectivity": 8},
+@pytest.mark.parametrize("head, connectivity, refused", [
+    ("cpp-labels v1 {hash}", 4, None),
+    ("cpp-labels v2 {hash} seed 1 connectivity 4 restarts 8", 4, "seed 1 connectivity 4"),
+    ("cpp-labels v1 {hash}", 8, "seed 0 connectivity 4"),
 ], ids=["defaults", "seed", "connectivity"])
-def test_label_cache_reads_v1_only_under_its_settings(tmp_path, settings):
+def test_label_cache_reads_v1_only_under_its_settings(tmp_path, head, connectivity, refused):
     # a v1 file names no settings; it was written with seed 0,
-    # 4-connectivity and 8 restarts
+    # 4-connectivity and 8 restarts, so it reads as the v2 file naming
+    # them, and its pairs under a header naming seed 1 are refused
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
     pairs = label_pairs(two_opt(cost_matrix(grid), grid.start_slot))
     path = tmp_path / f"{grid.content_hash()}.labels"
-    path.write_text(f"cpp-labels v1 {grid.content_hash()}\n"
-                    + "".join(f"{i} {j}\n" for i, j in pairs))
-    cache = LabelCache(tmp_path, **settings)
-    if settings:
-        with pytest.raises(ParseError):
+    head = head.format(hash=grid.content_hash())
+    path.write_text(head + "\n" + "".join(f"{i} {j}\n" for i, j in pairs))
+    cache = LabelCache(tmp_path, connectivity=connectivity)
+    if refused:
+        with pytest.raises(ParseError, match=f"labels made with {refused}"):
             cache.pairs_for(grid)
     else:
         assert cache.pairs_for(grid) == pairs
-    assert path.read_text().startswith("cpp-labels v1 ")
+    assert path.read_text().startswith(head + "\n")
 
 
 @pytest.mark.parametrize("head", [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cppnet import scenario
 from cppnet.errors import FormatVersionMismatch, InvalidDensity, ParseError
 from cppnet.scenario import (
     GridMap,
@@ -55,12 +56,6 @@ def test_invalid_density_rejected():
         generate_scenario(10, 10, 1.0, -0.1, seed=0)
 
 
-@pytest.mark.parametrize("start", [(5, 0), (-1, -1)])
-def test_start_outside_grid_rejected(start):
-    with pytest.raises(ValueError, match="outside"):
-        generate_scenario(4, 4, 1.0, 0.2, seed=0, start=start)
-
-
 def test_high_density_still_connected():
     for seed in range(3):
         grid = generate_scenario(10, 10, 1.0, 0.5, seed=seed)
@@ -86,6 +81,27 @@ def test_split_sizes_paper_ratios():
     assert split_sizes(3, (1 / 3, 1 / 3, 1 / 3)) == (1, 1, 1)
     # remainder rounds toward train
     assert split_sizes(10, (0.5, 0.25, 0.25)) == (6, 2, 2)
+
+
+@pytest.mark.parametrize("ratios, named", [
+    ((1.2, -0.1, -0.1), "1.2"),
+    ((0.5, 0.5 + 1e-12, -1e-12), "-1e-12"),
+    ((float("nan"), 0.5, 0.5), "nan"),
+])
+def test_split_sizes_rejects_ratio_outside_unit_interval(ratios, named):
+    with pytest.raises(ValueError, match=f"split ratio {named} outside"):
+        split_sizes(5, ratios)
+
+
+def test_dataset_checks_ratios_before_generating(monkeypatch):
+    def generate(*args):
+        raise AssertionError("a map was generated")
+
+    monkeypatch.setattr(scenario, "generate_scenario", generate)
+    with pytest.raises(ValueError, match="split ratio 1.2"):
+        dataset_build(5, 4, 4, 1.0, (0.0, 0.2), (1.2, -0.1, -0.1), seed=0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        dataset_build(5, 4, 4, 1.0, (0.0, 0.2), (0.5, 0.2, 0.2), seed=0)
 
 
 def test_dataset_paper_scale_split_sizes():

@@ -126,7 +126,7 @@ def test_evaluate_constant_half_ties_predict_positive(monkeypatch):
         return np.full((1, batch.n, batch.n), 0.5), None
 
     monkeypatch.setattr(train_mod, "forward", half_forward)
-    metrics = evaluate(params, maps, threshold=0.5)
+    metrics = evaluate(params, maps)
     assert metrics["recall"] == pytest.approx(1.0)
     assert metrics["precision"] < 0.5
 
