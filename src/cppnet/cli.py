@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (
+    RECORDS_HEADER,
     load_records,
     render_boxplot,
     render_trajectory,
@@ -19,15 +20,24 @@ from .bench import (
     run_benchmark,
     save_records,
 )
-from .decode import load_trajectory, plan, save_trajectory
+from .decode import TRAJ_HEADER, load_trajectory, plan, save_trajectory
 from .errors import CppnetError
 from .fileio import atomic_write_text, read_text
-from .model import ModelConfig, load_checkpoint
-from .oracle import LabelCache
-from .scenario import dataset_build, load_scenarios, save_scenarios, split_sizes
+from .model import CHECKPOINT_HEADER, ModelConfig, load_checkpoint
+from .oracle import LABELS_HEADER, LabelCache
+from .scenario import (
+    MANIFEST_HEADER,
+    SCENARIO_HEADER,
+    dataset_build,
+    load_scenarios,
+    save_scenarios,
+    split_sizes,
+)
 from .train import TrainConfig, load_config, prepare_labels, train
 
-FORMAT_VERSIONS = "formats: cpp-scenario v1, cpp-scenario-set v1, cpp-labels v2, cpp-traj v1, cpp-checkpoint v1, cpp-bench-records v2"
+FORMAT_VERSIONS = "formats: " + ", ".join([
+    SCENARIO_HEADER, MANIFEST_HEADER, LABELS_HEADER, TRAJ_HEADER, CHECKPOINT_HEADER, RECORDS_HEADER,
+])
 
 PAPER_RATIOS = (1024 / 1384, 200 / 1384, 160 / 1384)
 
@@ -135,9 +145,8 @@ def cmd_train(args) -> int:
         train_config, model_config = load_config(args.config)
     else:
         train_config, model_config = TrainConfig(), ModelConfig()
-    train_config.checkpoint_dir = args.out
     _, report = train(
-        sset, train_config, model_config, label_cache_dir=args.labels,
+        sset, train_config, model_config, label_cache_dir=args.labels, checkpoint_dir=args.out,
         log=lambda msg: print(msg),
     )
     print(f"checkpoints and report.csv in {args.out}")

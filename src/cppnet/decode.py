@@ -165,6 +165,8 @@ def trajectory_to_text(traj: Trajectory, scenario_hash: str) -> str:
 
 
 def trajectory_from_text(text: str) -> tuple[Trajectory, str]:
+    """A trajectory file's contents; a missing, repeated or unknown key is a
+    ParseError."""
     lines = text.splitlines()
     if not lines or lines[0] != TRAJ_HEADER:
         raise FormatVersionMismatch(f"bad trajectory header: {lines[0]!r}" if lines else "empty file")
@@ -173,18 +175,20 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, str]:
         if not line.strip():
             continue
         key, _, value = line.partition(" ")
+        if key in fields:
+            raise ParseError(f"trajectory key {key!r} given twice")
         fields[key] = value
     try:
-        scenario_hash = fields["scenario"]
-        order = tuple(int(s) for s in fields["tour"].split())
-        path = tuple(
-            (int(r), int(c))
-            for r, c in (pair.split(",") for pair in fields["path"].split())
-        ) if fields["path"].strip() else ()
-        length = float(fields["length_m"])
-        inference_ms = float(fields["inference_ms"])
+        scenario_hash = fields.pop("scenario")
+        order = tuple(int(s) for s in fields.pop("tour").split())
+        pairs = (pair.split(",") for pair in fields.pop("path").split())
+        path = tuple((int(r), int(c)) for r, c in pairs)
+        length = float(fields.pop("length_m"))
+        inference_ms = float(fields.pop("inference_ms"))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"malformed trajectory file: {exc}") from exc
+    if fields:
+        raise ParseError(f"unknown trajectory key {next(iter(fields))!r}")
     return Trajectory(Tour(order, length), path, length, inference_ms), scenario_hash
 
 

@@ -9,10 +9,6 @@ class InvalidDensity(CppnetError, ValueError):
     """Obstacle density outside the supported [0, 0.5] range."""
 
 
-class ConnectivityFailure(CppnetError, RuntimeError):
-    """No connected free-cell layout found within the retry bound."""
-
-
 class ParseError(CppnetError, ValueError):
     """Malformed or truncated input file."""
 

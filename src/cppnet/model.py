@@ -232,10 +232,6 @@ class GraphBatch:
     col_perm: np.ndarray     # permutation sorting adj_idx by target node
 
     @property
-    def batch_size(self):
-        return self.real.shape[0]
-
-    @property
     def n(self):
         return self.real.shape[1]
 
@@ -402,8 +398,7 @@ def _edge_update(e, w_edge, source, target, out=None):
     e += t
 
 
-def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
-                 update_stats: bool | None = None):
+def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool):
     """One residual gated graph-convolution layer on (N, h) node rows and
     edge rows: all (P, h) pair rows in training mode, the (A, h) adjacency
     rows in eval mode.
@@ -415,8 +410,6 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     rows are updated in place and returned, and the cache is the layer's
     folded edge terms (W', s', r'), from which mlp_head builds every pair.
     """
-    if update_stats is None:
-        update_stats = training
     if training and not batch.pair_mask.any():
         raise DegenerateBatch("no real pair for the edge batch statistics")
     sg_vals, den, raw, v, agg = _gate_forward(e[batch.adj_idx[0]] if training else e,
@@ -473,9 +466,8 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
                 y += e[rows]
     except FloatingPointError as exc:
         raise NonFiniteActivation(f"conv layer edge update: {exc}") from exc
-    if update_stats:
-        _update_running(bn_n, mu_n, var_n, len(s))
-        _update_running(bn_e, mu_e, var_e, m_e)
+    _update_running(bn_n, mu_n, var_n, len(s))
+    _update_running(bn_e, mu_e, var_e, m_e)
 
     cache = {
         "x": x, "e": e, "gate": (sg_vals, den, raw, v),
@@ -495,13 +487,13 @@ def _bn_backward_terms(bn: BatchNorm, var, g_sum, gc_sum, m: int):
 
 
 def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
-    """Exact gradients of one conv layer from its training-mode cache; the
-    edge gradient accumulates in the rows of de_next."""
+    """Exact gradients of one conv layer from its training-mode cache, as a
+    ConvLayer whose batch-norm running fields are 0; the edge gradient
+    accumulates in the rows of de_next."""
     x, e = cache["x"], cache["e"]
     sg_vals, den, raw, v = cache["gate"]
     t_c, relu_e = cache["t_c"], cache["relu_e"]
     h = x.shape[1]
-    grads = {}
 
     # edge branch: e_next = e + relu(k * t_c + beta); the pooled sums come
     # first, over every row (the diagonal rows of de_next are 0)
@@ -512,12 +504,12 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
         ge = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[: rows.stop - rows.start])
         g_sum += ge.sum(axis=0)
         gc_sum += np.einsum("ij,ij->j", ge, t_c[rows])
-    k, a, c, grads["bn_edge.gamma"] = _bn_backward_terms(
+    k, a, c, d_gamma = _bn_backward_terms(
         layer.bn_edge, cache["var_e"], g_sum, gc_sum, int(batch.pair_mask.sum()))
-    grads["bn_edge.beta"] = g_sum
+    d_bn_edge = BatchNorm(d_gamma, g_sum, np.zeros(h), np.zeros(h))
     dt_i = np.empty_like(x)
     dt_j = np.zeros_like(x)
-    grads["w_edge"] = np.zeros((h, h), dtype=x.dtype)
+    d_w_edge = np.zeros((h, h), dtype=x.dtype)
     for tile_nodes, nodes, rows in _edge_tiles(batch):
         n_rows = rows.stop - rows.start
         dt = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[:n_rows])
@@ -525,24 +517,22 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
         dt -= a
         dt -= np.multiply(t_c[rows], c, out=work[:n_rows])
         _diagonal(dt, tile_nodes, nodes)[...] = 0.0
-        grads["w_edge"] += dt.T @ e[rows]
+        d_w_edge += dt.T @ e[rows]
         de_rows = de_next[rows]   # de = de_next + dt W_edge, in place
         de_rows += np.matmul(dt, layer.w_edge, out=work[:n_rows])
         block = dt.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
         dt_i[tile_nodes] = block.sum(axis=1)
         dt_j[nodes] += block.sum(axis=0)
-    grads["w_source"] = dt_i.T @ x
-    grads["w_target"] = dt_j.T @ x
     dx = dx_next + dt_i @ layer.w_source + dt_j @ layer.w_target
 
     # node branch: x_next = x + relu(y_n)
     gn = dx_next * cache["relu_n"]
     s_c = cache["s_c"]
-    grads["bn_node.beta"] = g_sum = gn.sum(axis=0)
-    k, a, c, grads["bn_node.gamma"] = _bn_backward_terms(
+    g_sum = gn.sum(axis=0)
+    k, a, c, d_gamma = _bn_backward_terms(
         layer.bn_node, cache["var_n"], g_sum, np.einsum("ij,ij->j", gn, s_c), len(x))
+    d_bn_node = BatchNorm(d_gamma, g_sum, np.zeros(h), np.zeros(h))
     ds = k * gn - (a + c * s_c)
-    grads["w_self"] = ds.T @ x
     dx += ds @ layer.w_self
 
     # gated aggregation: agg = raw / den, raw = sum_j sg * v_j; the free-cell
@@ -554,9 +544,9 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     dv = _segment_scatter(dv_vals[batch.col_perm], batch.row_starts, batch.row_ids, len(x))
     dsg_vals = draw[src] * v[dst] + dden[src]
     de_next[edge] += dsg_vals * sg_vals * (1.0 - sg_vals)
-    grads["w_neighbor"] = dv.T @ x
     dx += dv @ layer.w_neighbor
 
+    grads = ConvLayer(ds.T @ x, dv.T @ x, d_w_edge, dt_i.T @ x, dt_j.T @ x, d_bn_node, d_bn_edge)
     return dx, de_next, grads
 
 
@@ -619,8 +609,7 @@ def _mlp_backward(dlogits, inputs, params: ModelParams, batch: GraphBatch):
     return de, grads_w, grads_b
 
 
-def forward(batch: GraphBatch, params: ModelParams, training: bool = False,
-            update_stats: bool | None = None):
+def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
     """Full forward pass: embeddings, conv stack, MLP head.
 
     Returns the heat graph (B, n, n) of edge probabilities, 0 on padding
@@ -634,7 +623,7 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False,
     x, e = embed_input(batch, params, training)
     layer_caches = []
     for layer in params.layers:
-        x, e, cache = conv_forward(x, e, layer, batch, training, update_stats)
+        x, e, cache = conv_forward(x, e, layer, batch, training)
         layer_caches.append(cache)
     rows, mlp_inputs = mlp_head(e, params, batch, training, () if training else layer_caches)
     heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)
@@ -691,8 +680,7 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
     layer_grads.reverse()
 
     # input embedding backward: lengths and indicators are 0 off the adjacency
-    h = params.config.hidden
-    half = h // 2
+    half = params.config.hidden // 2
     edge = batch.adj_idx[0]
     g_node_w = dx.T @ batch.coords
     g_node_b = dx.sum(axis=0)
@@ -700,30 +688,8 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
     g_dist_b = de[:, :half].sum(axis=0)
     g_ind_w = de[edge, half:].sum(axis=0)
 
-    grads = ModelParams(
-        params.config,
-        g_node_w,
-        g_node_b,
-        g_dist_w,
-        g_dist_b,
-        g_ind_w,
-        [
-            ConvLayer(
-                lg["w_self"],
-                lg["w_neighbor"],
-                lg["w_edge"],
-                lg["w_source"],
-                lg["w_target"],
-                BatchNorm(lg["bn_node.gamma"], lg["bn_node.beta"],
-                          np.zeros(h), np.zeros(h)),
-                BatchNorm(lg["bn_edge.gamma"], lg["bn_edge.beta"],
-                          np.zeros(h), np.zeros(h)),
-            )
-            for lg in layer_grads
-        ],
-        mlp_gw,
-        mlp_gb,
-    )
+    grads = ModelParams(params.config, g_node_w, g_node_b, g_dist_w, g_dist_b, g_ind_w,
+                        layer_grads, mlp_gw, mlp_gb)
     return loss, grads
 
 
@@ -759,6 +725,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
         raise CheckpointWriteFailure(str(exc)) from exc
 
 
+def field_kinds(config_class) -> dict:
+    """Each field of a config dataclass and the type of its default."""
+    return {f.name: type(f.default) for f in fields(config_class)}
+
+
 def _config_from_line(line: bytes) -> ModelConfig:
     """The checkpoint's JSON config: exactly the ModelConfig fields, each of
     its declared type and valid. Any defect is a ParseError."""
@@ -766,7 +737,7 @@ def _config_from_line(line: bytes) -> ModelConfig:
         cfg = json.loads(line)
     except ValueError as exc:
         raise ParseError(f"bad checkpoint config: {exc}") from exc
-    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
+    kinds = field_kinds(ModelConfig)
     if not isinstance(cfg, dict) or set(cfg) != set(kinds):
         raise ParseError(f"checkpoint config needs exactly the keys {sorted(kinds)}: {line!r}")
     for key, kind in kinds.items():

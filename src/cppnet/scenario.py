@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConnectivityFailure, FormatVersionMismatch, InvalidDensity, ParseError
+from .errors import FormatVersionMismatch, InvalidDensity, ParseError
 from .fileio import atomic_write_text, read_text
 
 SCENARIO_HEADER = "cpp-scenario v1"
@@ -24,10 +24,9 @@ MANIFEST_HEADER = "cpp-scenario-set v1"
 
 SPLITS = ("train", "validation", "test")
 
-# every generated map's start cell, and generate_scenario's draw budgets
+# every generated map's start cell, and generate_scenario's uniform draws
 START_CELL = (0, 0)
 REJECTION_TRIES = 100
-MAX_TRIES = 1000
 
 ORTHO_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 DIAG_STEPS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -265,22 +264,19 @@ def generate_scenario(
     if n_obstacles > len(candidates) - 1:
         raise InvalidDensity(f"cannot place {n_obstacles} obstacles on {n_cells} cells")
 
-    for attempt in range(MAX_TRIES):
+    for attempt in range(REJECTION_TRIES):
         rng = np.random.default_rng([seed, attempt])
-        if attempt < REJECTION_TRIES:
-            occ = np.zeros((rows, cols), dtype=bool)
-            if n_obstacles:
-                picks = rng.choice(len(candidates), size=n_obstacles, replace=False)
-                for k in picks:
-                    occ[candidates[k]] = True
-        else:
-            occ = _connected_placement(rows, cols, n_obstacles, connectivity, rng)
+        occ = np.zeros((rows, cols), dtype=bool)
+        if n_obstacles:
+            picks = rng.choice(len(candidates), size=n_obstacles, replace=False)
+            for k in picks:
+                occ[candidates[k]] = True
         grid = GridMap(rows, cols, float(cell_size), occ, START_CELL)
-        if grid.n_free >= 2 and free_cells_connected(grid, connectivity):
+        if free_cells_connected(grid, connectivity):
             return grid
-    raise ConnectivityFailure(
-        f"no connected layout at density {density} on {rows}x{cols} in {MAX_TRIES} tries"
-    )
+    rng = np.random.default_rng([seed, REJECTION_TRIES])
+    occ = _connected_placement(rows, cols, n_obstacles, connectivity, rng)
+    return GridMap(rows, cols, float(cell_size), occ, START_CELL)
 
 
 @dataclass(eq=False)
@@ -362,7 +358,7 @@ def dataset_build(
             scenarios.append(
                 generate_scenario(rows, cols, cell_size, density, sub_seed, connectivity)
             )
-        except (InvalidDensity, ConnectivityFailure) as exc:
+        except InvalidDensity as exc:
             raise type(exc)(f"scenario {i}: {exc}") from exc
 
     tags = ["train"] * n_train + ["validation"] * n_val + ["test"] * n_test
@@ -393,6 +389,8 @@ def scenario_from_text(text: str) -> GridMap:
     body = lines[1 : 1 + rows]
     if len(body) != rows:
         raise ParseError(f"expected {rows} grid rows, found {len(body)}")
+    if any(line.strip() for line in lines[1 + rows :]):
+        raise ParseError(f"text after the {rows} grid rows")
     for r, line in enumerate(body):
         if len(line) != cols:
             raise ParseError(f"row {r} has {len(line)} cells, expected {cols}")

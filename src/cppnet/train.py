@@ -20,6 +20,7 @@ from .graph import encode
 from .model import (
     ModelConfig,
     ModelParams,
+    field_kinds,
     forward,
     init_params,
     loss_and_grads,
@@ -40,7 +41,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    checkpoint_dir: str | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -174,11 +174,11 @@ def evaluate(params: ModelParams, scenarios: list[GridMap],
 
 
 def train(sset: ScenarioSet, config: TrainConfig, model_config: ModelConfig,
-          label_cache_dir=None, connectivity: int = 4, log=None):
+          label_cache_dir=None, checkpoint_dir=None, connectivity: int = 4, log=None):
     """Train on the set's train split, validating per epoch.
 
-    Returns (params, report). The best-validation-loss checkpoint and the
-    final checkpoint are written to config.checkpoint_dir when set.
+    Returns (params, report). The best-validation-loss checkpoint, the
+    final checkpoint and report.csv are written to checkpoint_dir when set.
     """
     train_maps = sset.split("train")
     val_maps = sset.split("validation")
@@ -200,7 +200,7 @@ def train(sset: ScenarioSet, config: TrainConfig, model_config: ModelConfig,
         params.trainable_arrays(), config.learning_rate, config.beta1, config.beta2, config.eps
     )
     report = TrainReport()
-    ckpt_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
+    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else None
     best_val = np.inf
 
     for epoch in range(1, config.max_epochs + 1):
@@ -246,30 +246,10 @@ def train(sset: ScenarioSet, config: TrainConfig, model_config: ModelConfig,
 
 # --- key = value config files -------------------------------------------------
 
-TRAIN_KEYS = {
-    "learning_rate": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "seed": int,
-    "checkpoint_dir": str,
-}
-MODEL_KEYS = {
-    "hidden": int,
-    "conv_layers": int,
-    "mlp_layers": int,
-    "n_max": int,
-    "dtype": str,
-}
-
-
 def parse_config_text(text: str) -> tuple[TrainConfig, ModelConfig]:
     """Parse a key = value config covering TrainConfig and ModelConfig. An
     unknown key or a value its config refuses is a ParseError naming the line."""
-    train_kwargs, model_kwargs = {}, {}
-    sections = ((TrainConfig, TRAIN_KEYS, train_kwargs), (ModelConfig, MODEL_KEYS, model_kwargs))
+    sections = [(config, field_kinds(config), {}) for config in (TrainConfig, ModelConfig)]
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -288,7 +268,7 @@ def parse_config_text(text: str) -> tuple[TrainConfig, ModelConfig]:
             config(**{key: kwargs[key]})  # each field is checked on its own
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad {key} value {value!r}: {exc}") from exc
-    return TrainConfig(**train_kwargs), ModelConfig(**model_kwargs)
+    return tuple(config(**kwargs) for config, _, kwargs in sections)
 
 
 def load_config(path) -> tuple[TrainConfig, ModelConfig]:

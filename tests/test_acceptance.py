@@ -117,11 +117,11 @@ def test_criterion_1_gradient_correctness(rng):
         batch = stack_graphs([graph])
         start = grid.free_cells().index(grid.start)
         labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid), start)), n_max)[None]
-        heat, cache = forward(batch, params, training=True, update_stats=False)
+        heat, cache = forward(batch, params, training=True)
         _, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
 
         def loss_fn():
-            h, _ = forward(batch, params, training=True, update_stats=False)
+            h, _ = forward(batch, params, training=True)
             return weighted_bce(h, labels, batch.pair_mask)[0]
 
         worst, where = finite_difference_check(params, loss_fn, grads, tol=GRAD_TOL)

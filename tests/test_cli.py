@@ -73,8 +73,11 @@ def test_missing_required_flag_usage_error(capsys):
 def test_version_flag(capsys):
     assert run("--version") == 0
     out = capsys.readouterr().out
-    assert "cppnet" in out
-    assert "cpp-scenario v1" in out
+    assert out.splitlines()[0].startswith("cppnet ")
+    assert out.splitlines()[1] == (
+        "formats: cpp-scenario v1, cpp-scenario-set v1, cpp-labels v2, cpp-traj v1, "
+        "cpp-checkpoint v1, cpp-bench-records v2"
+    )
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):

@@ -14,7 +14,7 @@ from cppnet.decode import (
     trajectory_from_text,
     trajectory_to_text,
 )
-from cppnet.errors import CapacityExceeded, FormatVersionMismatch
+from cppnet.errors import CapacityExceeded, FormatVersionMismatch, ParseError
 from cppnet.graph import encode
 from cppnet.model import ModelConfig, init_params
 from cppnet.oracle import Tour, cost_matrix, label_pairs, pairs_to_matrix, two_opt
@@ -228,6 +228,18 @@ def test_trajectory_file_roundtrip(tmp_path):
         assert loaded.inference_ms == traj.inference_ms
         # rewrite is byte-identical
         assert trajectory_to_text(loaded, loaded_hash) == path.read_text()
+
+
+TRAJ_TEXT = "cpp-traj v1\nscenario x\ntour 0 1\npath 0,0 0,1\nlength_m 1.0\ninference_ms 2.0\n"
+
+
+@pytest.mark.parametrize("extra, message", [("length_m 5.0\n", "'length_m' given twice"),
+                                            ("speed 3\n", "unknown trajectory key 'speed'")],
+                         ids=["repeated", "unknown"])
+def test_trajectory_repeated_or_unknown_key_rejected(extra, message):
+    assert trajectory_from_text(TRAJ_TEXT)[0].length == 1.0
+    with pytest.raises(ParseError, match=message):
+        trajectory_from_text(TRAJ_TEXT + extra)
 
 
 def test_trajectory_bad_header():

@@ -120,8 +120,7 @@ def test_conv_zero_features_stay_zero():
     _, _, _, params, batch, _ = small_setup()
     x0, e0 = embed_input(batch, params)
     x, e = np.zeros_like(x0), np.zeros_like(e0)
-    x1, e1, _ = conv_forward(x, e, params.layers[0], batch, training=True,
-                             update_stats=False)
+    x1, e1, _ = conv_forward(x, e, params.layers[0], batch, training=True)
     # the outputs hold exactly the real nodes and the real block
     assert x1.shape == x0.shape and e1.shape == e0.shape
     assert e1.shape[0] == batch.block_mask.sum()
@@ -137,8 +136,7 @@ def test_conv_isolated_node_reduces_to_self_term():
     lone = scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n")
     batch = stack_graphs([encode(lone, graph.n_max), graph])
     x0, e0 = embed_input(batch, params)
-    x1, _, cache = conv_forward(x0, e0, params.layers[0], batch, training=True,
-                                update_stats=False)
+    x1, _, cache = conv_forward(x0, e0, params.layers[0], batch, training=True)
     layer = params.layers[0]
     s = x0[0] @ layer.w_self.T  # aggregation is zero for the isolated node
     s_hat = (s - cache["mu_n"]) / np.sqrt(cache["var_n"] + BN_EPS)
@@ -212,12 +210,12 @@ def test_degenerate_batch_raises():
 def test_gradients_match_finite_differences():
     _, _, _, params, batch, labels = small_setup()
     randomize_params(params, np.random.default_rng(0))
-    heat, cache = forward(batch, params, training=True, update_stats=False)
+    heat, cache = forward(batch, params, training=True)
     loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
     assert np.isfinite(loss)
 
     def loss_fn():
-        h, _ = forward(batch, params, training=True, update_stats=False)
+        h, _ = forward(batch, params, training=True)
         return weighted_bce(h, labels, batch.pair_mask)[0]
 
     worst, where = finite_difference_check(params, loss_fn, grads)
@@ -231,11 +229,11 @@ def test_gradients_match_on_eight_connected_graph():
     params = randomize_params(init_params(config, seed=6), np.random.default_rng(1))
     batch = stack_graphs([graph])
     labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid, 8), 0)), batch.n)[None]
-    heat, cache = forward(batch, params, training=True, update_stats=False)
+    heat, cache = forward(batch, params, training=True)
     _, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
 
     def loss_fn():
-        h, _ = forward(batch, params, training=True, update_stats=False)
+        h, _ = forward(batch, params, training=True)
         return weighted_bce(h, labels, batch.pair_mask)[0]
 
     worst, where = finite_difference_check(params, loss_fn, grads)
@@ -275,11 +273,11 @@ def test_gradients_match_on_mixed_size_batch(connectivity):
     batch, labels = mixed_batch(connectivity)
     config = ModelConfig(hidden=4, conv_layers=2, mlp_layers=2, n_max=batch.n)
     params = randomize_params(init_params(config, seed=2), np.random.default_rng(3))
-    heat, cache = forward(batch, params, training=True, update_stats=False)
+    heat, cache = forward(batch, params, training=True)
     _, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
 
     def loss_fn():
-        h, _ = forward(batch, params, training=True, update_stats=False)
+        h, _ = forward(batch, params, training=True)
         return weighted_bce(h, labels, batch.pair_mask)[0]
 
     worst, where = finite_difference_check(params, loss_fn, grads)
@@ -294,7 +292,7 @@ def test_mixed_size_batch_independent_of_capacity(connectivity):
     params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
     results = []
     for batch, labels in ((tight, tight_labels), (wide, wide_labels)):
-        heat, cache = forward(batch, params, training=True, update_stats=False)
+        heat, cache = forward(batch, params, training=True)
         loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
         results.append((heat[batch.block_mask], loss, grads))
     (heat_a, loss_a, grads_a), (heat_b, loss_b, grads_b) = results
@@ -339,7 +337,7 @@ def test_eval_batch_norm_folds_running_statistics():
     batch, _ = mixed_batch(4, n_max=tight.n + 3)
     config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=batch.n)
     params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
-    train_heat, cache = forward(batch, params, training=True, update_stats=False)
+    train_heat, cache = forward(batch, params, training=True)
     for layer, lc in zip(params.layers, cache["layers"]):
         layer.bn_node.run_mean[...] = lc["mu_n"]
         layer.bn_node.run_var[...] = lc["var_n"]
@@ -453,8 +451,8 @@ def test_training_mode_padding_inert_too():
     n = grid.n_free
     b1 = stack_graphs([encode(grid, n)])
     b2 = stack_graphs([encode(grid, 3 * n)])
-    h1, _ = forward(b1, params, training=True, update_stats=False)
-    h2, _ = forward(b2, params, training=True, update_stats=False)
+    h1, _ = forward(b1, params, training=True)
+    h2, _ = forward(b2, params, training=True)
     assert np.max(np.abs(h2[0, :n, :n] - h1[0])) < 1e-10
 
 

@@ -151,6 +151,13 @@ def test_truncated_scenario_rejected(tmp_path):
         scenario_from_text("\n".join(text.splitlines()[:-2]))
 
 
+def test_rows_beyond_the_declared_count_rejected():
+    # a third row on a 2-row map is refused, not dropped; trailing blank lines pass
+    with pytest.raises(ParseError, match="after the 2 grid rows"):
+        scenario_from_text("cpp-scenario v1 2 3 1.0 0 0\n...\n...\n.#.\n")
+    assert scenario_from_text("cpp-scenario v1 2 3 1.0 0 0\n...\n...\n\n").rows == 2
+
+
 def test_bad_header_rejected():
     with pytest.raises(FormatVersionMismatch):
         scenario_from_text("cpp-scenario v9 2 2 1.0 0 0\n..\n..\n")

@@ -85,7 +85,7 @@ def test_training_reduces_loss_from_first_batch():
     batch = stack_graphs([encode(g, 25) for g in first])
     labels = np.stack([pairs_to_matrix(cache.pairs_for(g), 25) for g in first])
     init = init_params(model_config, config.seed)
-    heat, _ = forward(batch, init, training=True, update_stats=False)
+    heat, _ = forward(batch, init, training=True)
     first_batch_loss, _, _ = weighted_bce(heat, labels, batch.pair_mask)
 
     assert report.epochs[-1].train_loss < first_batch_loss
@@ -103,7 +103,7 @@ def test_evaluate_perfect_predictor_f1(monkeypatch):
     cache = LabelCache(None)
     params = init_params(tiny_model_config(), seed=0)
 
-    def fake_forward(batch, p, training=False, update_stats=None):
+    def fake_forward(batch, p, training=False):
         labels = pairs_to_matrix(cache.pairs_for(maps[fake_forward.i]), batch.n)
         fake_forward.i += 1
         return np.clip(labels[None], 1e-7, 1 - 1e-7), None
@@ -122,7 +122,7 @@ def test_evaluate_constant_half_ties_predict_positive(monkeypatch):
     maps = sset.scenarios[:2]
     params = init_params(tiny_model_config(), seed=0)
 
-    def half_forward(batch, p, training=False, update_stats=None):
+    def half_forward(batch, p, training=False):
         return np.full((1, batch.n, batch.n), 0.5), None
 
     monkeypatch.setattr(train_mod, "forward", half_forward)
@@ -139,9 +139,8 @@ def test_evaluate_empty_set():
 
 def test_checkpoints_and_report_written(tmp_path):
     sset = tiny_dataset()
-    config = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=2, seed=4,
-                         checkpoint_dir=str(tmp_path))
-    params, report = train(sset, config, tiny_model_config())
+    config = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=2, seed=4)
+    params, report = train(sset, config, tiny_model_config(), checkpoint_dir=str(tmp_path))
     assert (tmp_path / "best.ckpt").is_file()
     assert (tmp_path / "final.ckpt").is_file()
     csv = (tmp_path / "report.csv").read_text()
@@ -209,6 +208,9 @@ def test_parse_config_rejects_unknown_keys():
         parse_config_text("learning_rte = 0.1\n")
     with pytest.raises(ParseError):
         parse_config_text("just some words\n")
+    # the CLI's required --out names the checkpoint directory, not the config
+    with pytest.raises(ParseError, match="line 1: unknown config key 'checkpoint_dir'"):
+        parse_config_text("checkpoint_dir = out\n")
 
 
 @pytest.mark.parametrize("line", ["batch_size = x", "n_max = 1.5", "dtype = float16",
