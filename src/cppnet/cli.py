@@ -14,8 +14,6 @@ from . import __version__
 from .bench import (
     RECORDS_HEADER,
     load_records,
-    render_boxplot,
-    render_trajectory,
     resume_records,
     run_benchmark,
     save_records,
@@ -33,6 +31,7 @@ from .scenario import (
     save_scenarios,
     split_sizes,
 )
+from .svg import render_boxplot, render_trajectory
 from .train import TrainConfig, load_config, prepare_labels, train
 
 FORMAT_VERSIONS = "formats: " + ", ".join([

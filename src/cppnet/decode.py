@@ -18,7 +18,7 @@ from .fileio import atomic_write_text, read_text
 from .graph import ScenarioGraph, encode
 from .model import ModelParams, heat_for_graph
 from .oracle import Tour
-from .scenario import GridMap, weighted_steps
+from .scenario import GridMap, neighbor_steps, weighted_steps
 
 TRAJ_HEADER = "cpp-traj v1"
 
@@ -31,31 +31,63 @@ class Trajectory:
     inference_ms: float = 0.0
 
 
+def _radius1_slots(cells: np.ndarray, connectivity: int) -> np.ndarray:
+    """(n, S) slots of each slot's radius-1 cells under the decoder's radius
+    rule, n where the step leaves the free cells. Slots number the cells in
+    row-major order, so taking the steps in row-major offset order lists
+    each slot's neighbours in ascending slot order."""
+    n = len(cells)
+    # slot of every cell, with a border of n on every side
+    lookup = np.full(tuple(cells.max(axis=0) + 3), n)
+    lookup[cells[:, 0] + 1, cells[:, 1] + 1] = np.arange(n)
+    return np.stack([lookup[cells[:, 0] + 1 + dr, cells[:, 1] + 1 + dc]
+                     for dr, dc in sorted(neighbor_steps(connectivity))], axis=1)
+
+
 def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, start: int,
                   connectivity: int = 4) -> Tour:
     """Greedy tour over symmetrized probabilities in the nearest neighborhood.
 
     From the current cell, the unvisited node with the highest
     (p_ij + p_ji) / 2 is chosen among the unvisited nodes at the smallest
-    radius from it (ties to the lower slot).
+    radius from it (ties to the lower slot). Radius 1 is scanned first, in
+    plain Python over the precomputed neighbour slots and their
+    probabilities; the radius scan over every cell runs only for a step with
+    no unvisited neighbour.
     """
     n = graph.n_free
-    sym = (heat + heat.T) * 0.5
-    visited = np.zeros(n, dtype=bool)
+    cells = np.array(graph.slot_cells[:n])
+    near1 = _radius1_slots(cells, connectivity)
+    slots = np.arange(n)[:, None]
+    # (p_ij + p_ji) / 2 of every radius-1 pair; slot n reads slot n - 1's
+    # value, which the scan skips
+    inside = np.minimum(near1, n - 1)
+    near1_sym = ((heat[slots, inside] + heat[inside, slots]) * 0.5).tolist()
+    near1 = near1.tolist()
+    # slot n stands for "no free cell there" and counts as visited
+    visited = [False] * n + [True]
     visited[start] = True
     order = [start]
-    cells = np.array(graph.slot_cells[:n])
     current = start
     for _ in range(n - 1):
-        cur_cell = cells[current]
-        dr = np.abs(cells[:, 0] - cur_cell[0])
-        dc = np.abs(cells[:, 1] - cur_cell[1])
-        # Manhattan balls on 4-connected grids, Chebyshev balls on
-        # 8-connected ones: radius 1 is exactly the grid neighbors
-        radii = dr + dc if connectivity == 4 else np.maximum(dr, dc)
-        unvisited = np.flatnonzero(~visited)
-        near = unvisited[radii[unvisited] == radii[unvisited].min()]
-        chosen = int(near[np.argmax(sym[current, near])])
+        chosen, best = -1, 0.0
+        for k, value in zip(near1[current], near1_sym[current]):
+            if visited[k]:
+                continue
+            # strict > keeps the lowest slot of a tie; the first NaN wins,
+            # as in np.argmax
+            if chosen < 0 or value > best or (value != value and best == best):
+                chosen, best = k, value
+        if chosen < 0:
+            cur_cell = cells[current]
+            dr = np.abs(cells[:, 0] - cur_cell[0])
+            dc = np.abs(cells[:, 1] - cur_cell[1])
+            # Manhattan balls on 4-connected grids, Chebyshev balls on
+            # 8-connected ones: radius 1 is exactly the grid neighbors
+            radii = dr + dc if connectivity == 4 else np.maximum(dr, dc)
+            unvisited = np.flatnonzero(~np.array(visited[:n]))
+            near = unvisited[radii[unvisited] == radii[unvisited].min()]
+            chosen = int(near[np.argmax((heat[current, near] + heat[near, current]) * 0.5)])
         visited[chosen] = True
         order.append(chosen)
         current = chosen
@@ -66,19 +98,21 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
     """Shortest grid path between two free cells.
 
     Euclidean straight-line heuristic (admissible and consistent for both
-    connectivities); ties prefer lower f, then higher g, then the lower
-    row-major cell index, so paths are reproducible.
+    connectivities), read from one table per call; ties prefer lower f,
+    then higher g, then the lower row-major cell index, so paths are
+    reproducible.
     """
     if start_cell == goal_cell:
         return [start_cell], 0.0
+    rows, cols = grid.rows, grid.cols
     size = grid.cell_size
     steps = weighted_steps(connectivity, size)
+    blocked = grid.occupancy.tolist()
+    heuristic = (size * np.hypot(np.arange(rows)[:, None] - goal_cell[0],
+                                 np.arange(cols) - goal_cell[1])).tolist()
 
-    def heuristic(cell):
-        return size * float(np.hypot(cell[0] - goal_cell[0], cell[1] - goal_cell[1]))
-
-    start_h = heuristic(start_cell)
-    open_heap = [(start_h, -0.0, start_cell[0] * grid.cols + start_cell[1], start_cell)]
+    start_h = heuristic[start_cell[0]][start_cell[1]]
+    open_heap = [(start_h, -0.0, start_cell[0] * cols + start_cell[1], start_cell)]
     g_score = {start_cell: 0.0}
     came = {}
     closed = set()
@@ -96,14 +130,17 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
         closed.add(cell)
         g = -neg_g
         for dr, dc, step_cost in steps:
-            nxt = (cell[0] + dr, cell[1] + dc)
-            if not grid.is_free(nxt) or nxt in closed:
+            r, c = cell[0] + dr, cell[1] + dc
+            if not (0 <= r < rows and 0 <= c < cols) or blocked[r][c]:
+                continue
+            nxt = (r, c)
+            if nxt in closed:
                 continue
             ng = g + step_cost
             if ng < g_score.get(nxt, np.inf) - 1e-12:
                 g_score[nxt] = ng
                 came[nxt] = cell
-                heappush(open_heap, (ng + heuristic(nxt), -ng, nxt[0] * grid.cols + nxt[1], nxt))
+                heappush(open_heap, (ng + heuristic[r][c], -ng, r * cols + c, nxt))
     raise AssertionError(f"no path {start_cell} -> {goal_cell}; map invariant violated")
 
 

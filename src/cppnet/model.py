@@ -23,9 +23,10 @@ Conventions:
     cache-sized edge tiles; the cache keeps the centred pre-activations.
   - In eval mode the forward is depth-first and holds no (P, h) array: the
     conv layers run on the (A, h) adjacency rows only, which are all the
-    node features read, and keep their folded edge terms; the MLP head
-    then runs each edge tile from its embedding through every folded edge
-    update and the MLP.
+    node features read, and keep their folded edge terms (the last layer
+    computes nothing else, since only edge rows reach the head); the MLP
+    head then runs each edge tile from its embedding through every folded
+    edge update and the MLP.
 """
 
 import json
@@ -398,7 +399,8 @@ def _edge_update(e, w_edge, source, target, out=None):
     e += t
 
 
-def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool):
+def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
+                 fold_only: bool = False):
     """One residual gated graph-convolution layer on (N, h) node rows and
     edge rows: all (P, h) pair rows in training mode, the (A, h) adjacency
     rows in eval mode.
@@ -409,7 +411,12 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool):
     non-finite value raises NonFiniteActivation. In eval mode the adjacency
     rows are updated in place and returned, and the cache is the layer's
     folded edge terms (W', s', r'), from which mlp_head builds every pair.
+    An eval layer whose node and adjacency outputs nothing reads (the last
+    one) passes fold_only: it computes only the folded terms and returns x
+    and e as they came.
     """
+    if fold_only:
+        return x, e, _fold_edge_bn(x, layer)
     if training and not batch.pair_mask.any():
         raise DegenerateBatch("no real pair for the edge batch statistics")
     sg_vals, den, raw, v, agg = _gate_forward(e[batch.adj_idx[0]] if training else e,
@@ -555,7 +562,7 @@ def mlp_head(e_final, params: ModelParams, batch: GraphBatch, training: bool, fo
 
     Returns the (P,) probabilities and, in training mode, the input of
     every MLP layer, which _mlp_backward reads. In eval mode e_final, the
-    final adjacency rows, gives only the dtype: each tile's pair rows are
+    adjacency rows, gives only the dtype: each tile's pair rows are
     embedded, run through every layer's folded edge update (folded holds
     one (W', s', r') per conv layer) and the MLP in two scratch buffers,
     and the inputs are None.
@@ -622,8 +629,11 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
         )
     x, e = embed_input(batch, params, training)
     layer_caches = []
-    for layer in params.layers:
-        x, e, cache = conv_forward(x, e, layer, batch, training)
+    last = len(params.layers) - 1
+    for k, layer in enumerate(params.layers):
+        # in eval the MLP head reads only the last layer's folded edge terms
+        x, e, cache = conv_forward(x, e, layer, batch, training,
+                                   fold_only=not training and k == last)
         layer_caches.append(cache)
     rows, mlp_inputs = mlp_head(e, params, batch, training, () if training else layer_caches)
     heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)

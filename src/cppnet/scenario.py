@@ -439,7 +439,8 @@ def load_scenarios(path) -> ScenarioSet:
     except ValueError as exc:
         raise ParseError(f"manifest line 1: bad seed {head[2]!r}") from exc
     scenarios, tags = [], []
-    for line in lines[1:]:
+    first_line = {}     # scenario file name -> the manifest line naming it
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
@@ -451,6 +452,11 @@ def load_scenarios(path) -> ScenarioSet:
         # a name is a file of the set's own directory, never a path out of it
         if Path(name).name != name or not (root / name).is_file():
             raise ParseError(f"manifest names {name!r}, which is no file in {root}")
+        # one map in two splits would leak training maps into the test split
+        if name in first_line:
+            raise ParseError(f"manifest line {lineno}: {name!r} is already named "
+                             f"on line {first_line[name]}")
+        first_line[name] = lineno
         scenarios.append(scenario_from_text(read_text(root / name)))
         tags.append(tag)
     return ScenarioSet(scenarios, tags, seed)

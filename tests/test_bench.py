@@ -6,8 +6,6 @@ from cppnet.bench import (
     load_records,
     records_from_csv,
     records_to_csv,
-    render_boxplot,
-    render_trajectory,
     resume_records,
     run_benchmark,
     save_records,
@@ -19,6 +17,7 @@ from cppnet.errors import EmptyRecords, ParseError
 from cppnet.model import ModelConfig, init_params
 from cppnet.oracle import Tour
 from cppnet.scenario import GridMap, dataset_build, generate_scenario
+from cppnet.svg import render_boxplot, render_trajectory
 
 
 def record(value, method="two_opt", h="abc", t=0.1):

@@ -1,3 +1,5 @@
+from heapq import heappop, heappush
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cppnet.errors import CapacityExceeded, FormatVersionMismatch, ParseError
 from cppnet.graph import encode
 from cppnet.model import ModelConfig, init_params
 from cppnet.oracle import Tour, cost_matrix, label_pairs, pairs_to_matrix, two_opt
-from cppnet.scenario import GridMap, generate_scenario
+from cppnet.scenario import GridMap, generate_scenario, weighted_steps
 
 from conftest import bfs_distances
 
@@ -95,6 +97,136 @@ def test_decode_and_stitch_always_cover(map_seed, heat_seed, density):
     assert seen == set(grid.free_cells())
     for a, b in zip(traj.path, traj.path[1:]):
         assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+
+
+def reference_greedy_decode(heat, graph, start, connectivity=4):
+    """The ring-scan decoder that greedy_decode replaced: every step finds
+    the smallest radius of an unvisited cell over all cells."""
+    n = graph.n_free
+    sym = (heat + heat.T) * 0.5
+    visited = np.zeros(n, dtype=bool)
+    visited[start] = True
+    order = [start]
+    cells = np.array(graph.slot_cells[:n])
+    current = start
+    for _ in range(n - 1):
+        cur_cell = cells[current]
+        dr = np.abs(cells[:, 0] - cur_cell[0])
+        dc = np.abs(cells[:, 1] - cur_cell[1])
+        radii = dr + dc if connectivity == 4 else np.maximum(dr, dc)
+        unvisited = np.flatnonzero(~visited)
+        near = unvisited[radii[unvisited] == radii[unvisited].min()]
+        chosen = int(near[np.argmax(sym[current, near])])
+        visited[chosen] = True
+        order.append(chosen)
+        current = chosen
+    return Tour(tuple(order))
+
+
+def reference_astar(grid, start_cell, goal_cell, connectivity=4):
+    """The A* that astar replaced: a per-cell np.hypot heuristic and
+    grid.is_free tests."""
+    if start_cell == goal_cell:
+        return [start_cell], 0.0
+    size = grid.cell_size
+    steps = weighted_steps(connectivity, size)
+
+    def heuristic(cell):
+        return size * float(np.hypot(cell[0] - goal_cell[0], cell[1] - goal_cell[1]))
+
+    open_heap = [(heuristic(start_cell), -0.0, start_cell[0] * grid.cols + start_cell[1],
+                  start_cell)]
+    g_score = {start_cell: 0.0}
+    came = {}
+    closed = set()
+    while open_heap:
+        _, neg_g, _, cell = heappop(open_heap)
+        if cell in closed:
+            continue
+        if cell == goal_cell:
+            path = [cell]
+            while cell in came:
+                cell = came[cell]
+                path.append(cell)
+            path.reverse()
+            return path, g_score[goal_cell]
+        closed.add(cell)
+        g = -neg_g
+        for dr, dc, step_cost in steps:
+            nxt = (cell[0] + dr, cell[1] + dc)
+            if not grid.is_free(nxt) or nxt in closed:
+                continue
+            ng = g + step_cost
+            if ng < g_score.get(nxt, np.inf) - 1e-12:
+                g_score[nxt] = ng
+                came[nxt] = cell
+                heappush(open_heap, (ng + heuristic(nxt), -ng, nxt[0] * grid.cols + nxt[1], nxt))
+    raise AssertionError("no path")
+
+
+def _trapped_steps(tour, graph, connectivity):
+    """Steps whose next cell is not a radius-1 cell of the current one."""
+    norm = (lambda d: d[0] + d[1]) if connectivity == 4 else max
+    cells = [graph.slot_cells[s] for s in tour.order]
+    return sum(norm((abs(a[0] - b[0]), abs(a[1] - b[1]))) > 1 for a, b in zip(cells, cells[1:]))
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("kind", ["ties", "uniform", "trapped"])
+def test_decode_and_stitch_match_reference(kind, connectivity, monkeypatch):
+    # 200 random maps per case: heats in {0, 0.5, 1} tie often, uniform
+    # heats (half of them float32) do not, and half-blocked maze-like maps
+    # trap the walk in dead ends
+    rng = np.random.default_rng(["ties", "uniform", "trapped"].index(kind))
+    trapped = steps = 0
+    for seed in range(200):
+        rows, cols = rng.integers(2, 9, size=2)
+        density = 0.5 if kind == "trapped" else rng.uniform(0.0, 0.4)
+        grid = generate_scenario(rows, cols, (0.5, 1.0, 1.7)[seed % 3], density, seed=seed,
+                                 connectivity=connectivity)
+        graph = encode(grid, grid.n_free, connectivity)
+        n = grid.n_free
+        if kind == "ties":
+            heat = rng.integers(0, 3, size=(n, n)) * 0.5
+        else:
+            heat = rng.uniform(size=(n, n)).astype(np.float32 if seed % 2 else np.float64)
+        tour = greedy_decode(heat, graph, grid.start_slot, connectivity)
+        assert tour.order == reference_greedy_decode(heat, graph, grid.start_slot,
+                                                     connectivity).order
+        traj = stitch(tour, grid, connectivity)
+        with monkeypatch.context() as m:
+            m.setattr(decode, "astar", reference_astar)
+            ref = stitch(tour, grid, connectivity)
+        assert (traj.path, traj.length) == (ref.path, ref.length)
+        trapped += _trapped_steps(tour, graph, connectivity)
+        steps += n - 1
+    assert trapped > (steps // 10 if kind == "trapped" else 0)
+
+
+def test_decode_radius_follows_the_connectivity_argument():
+    # the radius-1 set comes from the connectivity argument, not from the
+    # neighbour pairs of the graph, which may be encoded under the other one
+    rng = np.random.default_rng(9)
+    for seed in range(20):
+        grid = generate_scenario(6, 7, 1.0, 0.3, seed=seed)
+        n = grid.n_free
+        heat = rng.uniform(size=(n, n))
+        for encoded, decoded in ((8, 4), (4, 8)):
+            graph = encode(grid, n, encoded)
+            tour = greedy_decode(heat, graph, grid.start_slot, decoded)
+            assert tour.order == reference_greedy_decode(heat, graph, grid.start_slot,
+                                                         decoded).order
+
+
+def test_decode_nan_heat_picks_as_argmax():
+    # np.argmax takes the first NaN; the neighbour scan does the same
+    grid = grid_from_rows(["...", "...", "..."])
+    graph = encode(grid, 9)
+    heat = np.random.default_rng(3).uniform(size=(9, 9))
+    heat[4, [1, 5]] = np.nan
+    for start in (4, 0):
+        assert greedy_decode(heat, graph, start).order == \
+            reference_greedy_decode(heat, graph, start).order
 
 
 def test_stitch_adjacent_tour_needs_no_extra_cells():

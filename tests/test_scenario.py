@@ -173,6 +173,16 @@ def test_manifest_bad_seed_is_parse_error(tmp_path):
         load_scenarios(tmp_path / "set")
 
 
+def test_manifest_repeated_file_is_parse_error(tmp_path):
+    sset = dataset_build(3, 4, 4, 1.0, (0.0, 0.2), (0.5, 0.5, 0.0), seed=3)
+    save_scenarios(sset, tmp_path / "set")
+    manifest = tmp_path / "set" / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "scenario_00000.txt test\n")
+    with pytest.raises(ParseError, match="manifest line 5: 'scenario_00000.txt' is already "
+                                         "named on line 2"):
+        load_scenarios(tmp_path / "set")
+
+
 def test_truncated_set_never_partial(tmp_path):
     sset = dataset_build(4, 4, 4, 1.0, (0.0, 0.2), (0.5, 0.25, 0.25), seed=3)
     save_scenarios(sset, tmp_path / "set")
