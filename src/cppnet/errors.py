@@ -33,6 +33,10 @@ class NonFiniteActivation(CppnetError, FloatingPointError):
     """NaN or inf appeared in a training-mode forward pass."""
 
 
+class CacheConsumed(CppnetError, ValueError):
+    """Training forward cache passed to loss_and_grads a second time."""
+
+
 class DegenerateBatch(CppnetError, ValueError):
     """Batch with only one label class; the weighted loss is undefined."""
 

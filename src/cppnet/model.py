@@ -20,7 +20,12 @@ Conventions:
     never computed; their heat is 0.
   - In training mode, batch-norm statistics are pooled over all blocks:
     over real nodes and over real ordered pairs (i != j), summed over
-    cache-sized edge tiles; the cache keeps the centred pre-activations.
+    cache-sized edge tiles. The cache holds, per conv layer, the centred
+    edge pre-activations t_c and the edge ReLU mask, and the (P, h) input
+    of every layer but the first: that one is the (A, h) adjacency
+    embedding, and each pair tile of it is embedded where it is read. The
+    final edge rows stay for the MLP backward, which computes each tile's
+    hidden rows again and writes the edge gradient over those rows.
   - In eval mode the forward is depth-first and holds no (P, h) array: the
     conv layers run on the (A, h) adjacency rows only, which are all the
     node features read, and keep their folded edge terms (the last layer
@@ -35,6 +40,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (
+    CacheConsumed,
     CheckpointWriteFailure,
     DegenerateBatch,
     FormatVersionMismatch,
@@ -315,21 +321,16 @@ def _embed_tile(tile, tile_nodes, rows, adj_rows, batch: GraphBatch, params: Mod
     tile[edge[lo:hi] - rows.start] = adj_rows[lo:hi]
 
 
-def embed_input(batch: GraphBatch, params: ModelParams, training: bool = True):
+def embed_input(batch: GraphBatch, params: ModelParams):
     """Linear embeddings of node coordinates and (step length, indicator)
-    edges: (N, h) node rows and, in training mode, the (P, h) edge rows; in
-    eval mode only the (A, h) rows of the adjacency, in adj_idx order."""
+    edges: the (N, h) node rows and the (A, h) edge rows of the adjacency,
+    in adj_idx order. Every other pair row embeds the bias alone; the layers
+    that read those rows embed them tile by tile (_embed_tile)."""
     h = params.config.hidden
     if params.node_weight.shape != (h, 2):
         raise ShapeMismatch(f"node weight shape {params.node_weight.shape} != ({h}, 2)")
     x0 = batch.coords @ params.node_weight.T + params.node_bias
-    adj_rows = _adjacency_embedding(batch, params)
-    if not training:
-        return x0, adj_rows
-    e0 = np.empty((batch.n_pairs, h), dtype=x0.dtype)
-    for _, nodes, edges in batch.blocks:
-        _embed_tile(e0[edges], nodes, edges, adj_rows, batch, params)
-    return x0, e0
+    return x0, _adjacency_embedding(batch, params)
 
 
 def _update_running(bn: BatchNorm, mean, var, m: int) -> None:
@@ -370,6 +371,17 @@ def _tile_buffers(batch: GraphBatch, count: int, h: int, dtype):
     return np.empty((count, min(batch.n_pairs, max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
 
 
+def _input_tile(e, tile_nodes, rows, buf, batch: GraphBatch, embed_params):
+    """An edge tile of a training conv layer's (P, h) input: the rows of e,
+    or, for the first layer (embed_params given), the tile embedded into buf
+    from e, the (A, h) adjacency embedding."""
+    if embed_params is None:
+        return e[rows]
+    tile = buf[: rows.stop - rows.start]
+    _embed_tile(tile, tile_nodes, rows, e, batch, embed_params)
+    return tile
+
+
 def _diagonal(tile, tile_nodes, nodes):
     """View of the (i, i) rows of an edge tile from _edge_tiles."""
     return tile[tile_nodes.start - nodes.start :: nodes.stop - nodes.start + 1]
@@ -400,10 +412,13 @@ def _edge_update(e, w_edge, source, target, out=None):
 
 
 def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
-                 fold_only: bool = False):
+                 fold_only: bool = False, embed_params: ModelParams | None = None):
     """One residual gated graph-convolution layer on (N, h) node rows and
     edge rows: all (P, h) pair rows in training mode, the (A, h) adjacency
-    rows in eval mode.
+    rows in eval mode. The first training layer passes embed_params, the
+    model's parameters: its e is then embed_input's (A, h) adjacency
+    embedding, and each tile of its (P, h) input is embedded where it is
+    read, here and in conv_backward.
 
     Returns the next node and edge features plus, in training mode, the
     cache conv_backward reads: the layer inputs, the gate terms, the
@@ -419,8 +434,8 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
         return x, e, _fold_edge_bn(x, layer)
     if training and not batch.pair_mask.any():
         raise DegenerateBatch("no real pair for the edge batch statistics")
-    sg_vals, den, raw, v, agg = _gate_forward(e[batch.adj_idx[0]] if training else e,
-                                              x, layer, batch)
+    adjacent = e[batch.adj_idx[0]] if training and embed_params is None else e
+    sg_vals, den, raw, v, agg = _gate_forward(adjacent, x, layer, batch)
 
     s = x @ layer.w_self.T + agg
     bn_n = layer.bn_node
@@ -440,10 +455,12 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     m_e = int(batch.pair_mask.sum())
     source = x @ layer.w_source.T
     target = x @ layer.w_target.T
-    t = np.empty_like(e)
+    t = np.empty((batch.n_pairs, h), dtype=e.dtype)
+    in_buf, = _tile_buffers(batch, 1, h, e.dtype)
     total = np.zeros(h, dtype=e.dtype)
     for tile_nodes, nodes, rows in _edge_tiles(batch):
-        tile = np.matmul(e[rows], layer.w_edge.T, out=t[rows])
+        e_in = _input_tile(e, tile_nodes, rows, in_buf, batch, embed_params)
+        tile = np.matmul(e_in, layer.w_edge.T, out=t[rows])
         block = tile.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
         block += source[tile_nodes, None, :]
         block += target[None, nodes, :]
@@ -461,23 +478,23 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     # a non-finite t shows in its sums; past this only an overflow can stop e_next
     if not all(np.isfinite(a).all() for a in (x_next, mu_e, var_e, k, bn_e.beta)):
         raise NonFiniteActivation("non-finite activation in conv layer")
-    e_next = np.empty_like(e)
-    relu_e = np.empty(e.shape, dtype=bool)
+    e_next = np.empty_like(t)
+    relu_e = np.empty(t.shape, dtype=bool)
     try:
         with np.errstate(over="raise"):
-            for _, _, rows in _edge_tiles(batch):
+            for tile_nodes, _, rows in _edge_tiles(batch):
                 y = np.multiply(t[rows], k, out=e_next[rows])
                 y += bn_e.beta
                 np.greater(y, 0.0, out=relu_e[rows])
                 np.maximum(y, 0.0, out=y)
-                y += e[rows]
+                y += _input_tile(e, tile_nodes, rows, in_buf, batch, embed_params)
     except FloatingPointError as exc:
         raise NonFiniteActivation(f"conv layer edge update: {exc}") from exc
     _update_running(bn_n, mu_n, var_n, len(s))
     _update_running(bn_e, mu_e, var_e, m_e)
 
     cache = {
-        "x": x, "e": e, "gate": (sg_vals, den, raw, v),
+        "x": x, "e": e, "embed_params": embed_params, "gate": (sg_vals, den, raw, v),
         "mu_n": mu_n, "var_n": var_n, "s_c": s_c, "relu_n": y_n > 0,
         "var_e": var_e, "t_c": t, "relu_e": relu_e,
     }
@@ -524,7 +541,7 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
         dt -= a
         dt -= np.multiply(t_c[rows], c, out=work[:n_rows])
         _diagonal(dt, tile_nodes, nodes)[...] = 0.0
-        d_w_edge += dt.T @ e[rows]
+        d_w_edge += dt.T @ _input_tile(e, tile_nodes, rows, work, batch, cache["embed_params"])
         de_rows = de_next[rows]   # de = de_next + dt W_edge, in place
         de_rows += np.matmul(dt, layer.w_edge, out=work[:n_rows])
         block = dt.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
@@ -557,23 +574,32 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     return dx, de_next, grads
 
 
+def _mlp_hidden(z, params: ModelParams, hidden):
+    """Every MLP layer's input for the edge tile z: z, then each hidden
+    layer's ReLU output, written to the next scratch tile of hidden."""
+    inputs = [z]
+    for k, out in enumerate(hidden):
+        z = np.matmul(z, params.mlp_weights[k].T, out=out[: len(z)])
+        z += params.mlp_biases[k]
+        np.maximum(z, 0.0, out=z)
+        inputs.append(z)
+    return inputs
+
+
 def mlp_head(e_final, params: ModelParams, batch: GraphBatch, training: bool, folded=()):
     """Per-edge probability via the MLP over final edge rows, in edge tiles.
 
-    Returns the (P,) probabilities and, in training mode, the input of
-    every MLP layer, which _mlp_backward reads. In eval mode e_final, the
-    adjacency rows, gives only the dtype: each tile's pair rows are
-    embedded, run through every layer's folded edge update (folded holds
-    one (W', s', r') per conv layer) and the MLP in two scratch buffers,
-    and the inputs are None.
+    Returns the (P,) probabilities. In training mode the tiles are rows of
+    e_final, the (P, h) final edge rows, and no hidden row is kept:
+    _mlp_backward computes them again. In eval mode e_final, the adjacency
+    rows, gives only the dtype: each tile's pair rows are embedded, run
+    through every layer's folded edge update (folded holds one (W', s', r')
+    per conv layer) and the MLP in two scratch buffers.
     """
     last = len(params.mlp_weights) - 1
     heat = np.empty(batch.n_pairs, dtype=e_final.dtype)
-    if training:
-        inputs = [e_final] + [np.empty_like(e_final) for _ in range(last)]
-    else:
-        inputs = None
-        tile_buf, buf = _tile_buffers(batch, 2, e_final.shape[1], e_final.dtype)
+    tile_buf, buf = _tile_buffers(batch, 2, e_final.shape[1], e_final.dtype)
+    if not training:
         adj_rows = _adjacency_embedding(batch, params)
     for tile_nodes, nodes, rows in _edge_tiles(batch):
         if training:
@@ -584,36 +610,37 @@ def mlp_head(e_final, params: ModelParams, batch: GraphBatch, training: bool, fo
             for w_edge, source, target in folded:
                 _edge_update(z, w_edge, source[tile_nodes, None], target[None, nodes],
                              out=buf[: len(z)])
-        for k in range(last):
-            out = inputs[k + 1][rows] if training else buf[: len(z)]
-            z = np.matmul(z, params.mlp_weights[k].T, out=out)
-            z += params.mlp_biases[k]
-            np.maximum(z, 0.0, out=z)
+        z = _mlp_hidden(z, params, [buf] * last)[-1]
         z = z @ params.mlp_weights[last].T
         z += params.mlp_biases[last]
         heat[rows] = _sigmoid(z[:, 0])
-    return heat, inputs
+    return heat
 
 
-def _mlp_backward(dlogits, inputs, params: ModelParams, batch: GraphBatch):
-    """Gradients through the MLP head from the layer inputs mlp_head kept,
-    tile by tile; returns the gradient of the final edge rows."""
-    grads_w = [np.zeros_like(w) for w in params.mlp_weights]
+def _mlp_backward(dlogits, e_final, params: ModelParams, batch: GraphBatch):
+    """Gradients through the MLP head, tile by tile. Each tile's hidden rows
+    are computed again from e_final, as mlp_head computed them, and every
+    product of the backward pass is written over the layer input it follows
+    from: a hidden tile, or the rows of e_final, which nothing reads after.
+    Returns e_final, which then holds the gradient of the final edge rows."""
+    weights = params.mlp_weights
+    last = len(weights) - 1
+    grads_w = [np.zeros_like(w) for w in weights]
     grads_b = [np.zeros_like(b) for b in params.mlp_biases]
-    de = np.empty_like(inputs[0])
-    buf, = _tile_buffers(batch, 1, de.shape[1], de.dtype)
+    hidden = _tile_buffers(batch, last, e_final.shape[1], e_final.dtype)
     for _, _, rows in _edge_tiles(batch):
+        inputs = _mlp_hidden(e_final[rows], params, hidden)
         dz = dlogits[rows, None]
-        for k in reversed(range(len(params.mlp_weights))):
-            a_in = inputs[k][rows]
+        for k in reversed(range(last + 1)):
+            a_in = inputs[k]
             grads_w[k] += dz.T @ a_in
             grads_b[k] += dz.sum(axis=0)
-            # products alternate between buf and de, so the last lands in de
-            out = de[rows] if k % 2 == 0 else buf[: len(a_in)]
-            dz = np.matmul(dz, params.mlp_weights[k], out=out)
+            active = a_in > 0 if k > 0 else None
+            # the last weight is one row: dz @ w is the broadcast product
+            dz = (np.multiply if k == last else np.matmul)(dz, weights[k], out=a_in)
             if k > 0:
-                dz *= a_in > 0
-    return de, grads_w, grads_b
+                dz *= active
+    return e_final, grads_w, grads_b
 
 
 def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
@@ -627,20 +654,22 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
         raise ShapeMismatch(
             f"batch capacity {batch.n} exceeds model n_max {params.config.n_max}"
         )
-    x, e = embed_input(batch, params, training)
+    x, e = embed_input(batch, params)
     layer_caches = []
     last = len(params.layers) - 1
     for k, layer in enumerate(params.layers):
-        # in eval the MLP head reads only the last layer's folded edge terms
+        # in eval the MLP head reads only the last layer's folded edge terms;
+        # in training the first layer embeds each pair tile it reads
         x, e, cache = conv_forward(x, e, layer, batch, training,
-                                   fold_only=not training and k == last)
+                                   fold_only=not training and k == last,
+                                   embed_params=params if training and k == 0 else None)
         layer_caches.append(cache)
-    rows, mlp_inputs = mlp_head(e, params, batch, training, () if training else layer_caches)
+    rows = mlp_head(e, params, batch, training, () if training else layer_caches)
     heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)
     heat[batch.block_mask] = rows
     if not training:
         return heat, None
-    return heat, {"batch": batch, "layers": layer_caches, "mlp_inputs": mlp_inputs}
+    return heat, {"batch": batch, "layers": layer_caches, "edges": e}
 
 
 def weighted_bce(heat, labels, mask):
@@ -665,10 +694,13 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
 
     labels and mask are (B, n, n); mask marks ordered real pairs i != j.
     cache is the training-mode cache of the forward that produced heat;
-    it is consumed, so it serves one call. Returns (loss, grads) where
-    grads is a ModelParams-shaped container aligned with
-    params.named_trainable().
+    it is consumed, so it serves one call: the call writes the gradient of
+    the final edge rows over them, and a second call raises CacheConsumed.
+    Returns (loss, grads) where grads is a ModelParams-shaped container
+    aligned with params.named_trainable().
     """
+    if "edges" not in cache:
+        raise CacheConsumed("forward cache already consumed by loss_and_grads; run forward again")
     loss, w1, w0 = weighted_bce(heat, labels, mask)
     batch: GraphBatch = cache["batch"]
 
@@ -679,7 +711,7 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
 
     # popping the activations frees each one as soon as its gradient is taken
     de, mlp_gw, mlp_gb = _mlp_backward(
-        dlogits[batch.block_mask], cache.pop("mlp_inputs"), params, batch
+        dlogits[batch.block_mask], cache.pop("edges"), params, batch
     )
     layer_caches = cache.pop("layers")
     dx = np.zeros_like(layer_caches[-1]["x"])

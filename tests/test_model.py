@@ -7,6 +7,7 @@ import pytest
 
 from cppnet import model
 from cppnet.errors import (
+    CacheConsumed,
     DegenerateBatch,
     NonFiniteActivation,
     ParseError,
@@ -33,16 +34,26 @@ from cppnet.scenario import generate_scenario, scenario_from_text
 from conftest import finite_difference_check, randomize_params
 
 
-def small_setup(map_seed=3, param_seed=1, hidden=6, layers=2, density=0.2, pad=2):
+def small_setup(map_seed=3, param_seed=1, hidden=6, layers=2, density=0.2, pad=2,
+                mlp_layers=2):
     grid = generate_scenario(3, 3, 1.0, density, seed=map_seed)
     n_max = grid.n_free + pad
     graph = encode(grid, n_max)
-    config = ModelConfig(hidden=hidden, conv_layers=layers, mlp_layers=2, n_max=n_max)
+    config = ModelConfig(hidden=hidden, conv_layers=layers, mlp_layers=mlp_layers, n_max=n_max)
     params = init_params(config, seed=param_seed)
     batch = stack_graphs([graph])
     costs = cost_matrix(grid)
     labels = pairs_to_matrix(label_pairs(two_opt(costs, 0)), n_max)[None]
     return grid, graph, config, params, batch, labels
+
+
+def pair_embedding(batch, params, adj_rows):
+    """The (P, h) input edge rows of every pair, which the model never holds:
+    each block filled as the model fills its edge tiles."""
+    e0 = np.empty((batch.n_pairs, params.config.hidden), dtype=adj_rows.dtype)
+    for _, nodes, edges in batch.blocks:
+        model._embed_tile(e0[edges], nodes, edges, adj_rows, batch, params)
+    return e0
 
 
 def test_init_deterministic():
@@ -89,7 +100,9 @@ def test_embed_zero_cases():
     _, _, _, params, batch, _ = small_setup()
     params.node_bias[:] = 0.0
     params.dist_bias[:] = 0.0
-    x0, e0 = embed_input(batch, params)
+    x0, adj_rows = embed_input(batch, params)
+    e0 = pair_embedding(batch, params, adj_rows)
+    assert np.array_equal(e0[batch.adj_idx[0]], adj_rows)
     # zero bias: every real node embeds its coordinates and nothing else
     assert x0.shape == (batch.real.sum(), params.config.hidden)
     assert np.allclose(x0, batch.coords @ params.node_weight.T, rtol=0.0, atol=1e-15)
@@ -118,11 +131,11 @@ def test_embed_linearity():
 
 def test_conv_zero_features_stay_zero():
     _, _, _, params, batch, _ = small_setup()
-    x0, e0 = embed_input(batch, params)
-    x, e = np.zeros_like(x0), np.zeros_like(e0)
+    x0, _ = embed_input(batch, params)
+    x, e = np.zeros_like(x0), np.zeros((batch.n_pairs, params.config.hidden))
     x1, e1, _ = conv_forward(x, e, params.layers[0], batch, training=True)
     # the outputs hold exactly the real nodes and the real block
-    assert x1.shape == x0.shape and e1.shape == e0.shape
+    assert x1.shape == x0.shape and e1.shape == e.shape
     assert e1.shape[0] == batch.block_mask.sum()
     assert np.allclose(x1, 0.0)
     assert np.allclose(e1, 0.0)
@@ -136,7 +149,8 @@ def test_conv_isolated_node_reduces_to_self_term():
     lone = scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n")
     batch = stack_graphs([encode(lone, graph.n_max), graph])
     x0, e0 = embed_input(batch, params)
-    x1, _, cache = conv_forward(x0, e0, params.layers[0], batch, training=True)
+    x1, _, cache = conv_forward(x0, e0, params.layers[0], batch, training=True,
+                                embed_params=params)
     layer = params.layers[0]
     s = x0[0] @ layer.w_self.T  # aggregation is zero for the isolated node
     s_hat = (s - cache["mu_n"]) / np.sqrt(cache["var_n"] + BN_EPS)
@@ -207,9 +221,8 @@ def test_degenerate_batch_raises():
         weighted_bce(np.full((1, 3, 3), 0.5), labels, mask)
 
 
-def test_gradients_match_finite_differences():
-    _, _, _, params, batch, labels = small_setup()
-    randomize_params(params, np.random.default_rng(0))
+def assert_gradients_match(batch, labels, params):
+    """loss_and_grads agrees with central differences of the training loss."""
     heat, cache = forward(batch, params, training=True)
     loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
     assert np.isfinite(loss)
@@ -222,6 +235,31 @@ def test_gradients_match_finite_differences():
     assert worst < 1e-4, f"gradient mismatch {worst:.2e} at {where}"
 
 
+def test_gradients_match_finite_differences():
+    _, _, _, params, batch, labels = small_setup()
+    assert_gradients_match(batch, labels, randomize_params(params, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("conv_layers, mlp_layers", [(2, 1), (2, 3), (3, 2)])
+def test_gradients_match_finite_differences_at_depth(conv_layers, mlp_layers):
+    # the MLP backward writes each product over the layer input it follows
+    # from, the last one over the final edge rows: a one-layer head (the
+    # rank-1 product is the whole backward), a three-layer head and a third
+    # conv layer must all still give the exact gradient
+    _, _, _, params, batch, labels = small_setup(layers=conv_layers, mlp_layers=mlp_layers)
+    assert_gradients_match(batch, labels, randomize_params(params, np.random.default_rng(0)))
+
+
+def test_second_loss_and_grads_on_a_cache_is_refused():
+    # the first call leaves the gradient of the final edge rows where those
+    # rows were, so the cache must never serve a second call
+    _, _, _, params, batch, labels = small_setup()
+    heat, cache = forward(batch, params, training=True)
+    loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+    with pytest.raises(CacheConsumed):
+        loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+
+
 def test_gradients_match_on_eight_connected_graph():
     grid = generate_scenario(3, 3, 1.0, 0.2, seed=11)
     graph = encode(grid, grid.n_free + 1, connectivity=8)
@@ -229,15 +267,7 @@ def test_gradients_match_on_eight_connected_graph():
     params = randomize_params(init_params(config, seed=6), np.random.default_rng(1))
     batch = stack_graphs([graph])
     labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid, 8), 0)), batch.n)[None]
-    heat, cache = forward(batch, params, training=True)
-    _, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
-
-    def loss_fn():
-        h, _ = forward(batch, params, training=True)
-        return weighted_bce(h, labels, batch.pair_mask)[0]
-
-    worst, where = finite_difference_check(params, loss_fn, grads)
-    assert worst < 1e-4, f"gradient mismatch {worst:.2e} at {where}"
+    assert_gradients_match(batch, labels, params)
 
 
 def mixed_batch(connectivity, n_max=None):
@@ -273,15 +303,7 @@ def test_gradients_match_on_mixed_size_batch(connectivity):
     batch, labels = mixed_batch(connectivity)
     config = ModelConfig(hidden=4, conv_layers=2, mlp_layers=2, n_max=batch.n)
     params = randomize_params(init_params(config, seed=2), np.random.default_rng(3))
-    heat, cache = forward(batch, params, training=True)
-    _, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
-
-    def loss_fn():
-        h, _ = forward(batch, params, training=True)
-        return weighted_bce(h, labels, batch.pair_mask)[0]
-
-    worst, where = finite_difference_check(params, loss_fn, grads)
-    assert worst < 1e-4, f"gradient mismatch {worst:.2e} at {where}"
+    assert_gradients_match(batch, labels, params)
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])
@@ -342,6 +364,9 @@ def test_eval_batch_norm_folds_running_statistics():
         layer.bn_node.run_mean[...] = lc["mu_n"]
         layer.bn_node.run_var[...] = lc["var_n"]
         x, e = lc["x"], lc["e"]
+        if layer is params.layers[0]:
+            # the first layer keeps only the adjacency rows of its input
+            e = pair_embedding(batch, params, e)
         pairs = []
         for nb, nodes, edges in batch.blocks:
             t = (e[edges] @ layer.w_edge.T).reshape(nb, nb, -1) \
@@ -391,6 +416,32 @@ def test_eval_heat_independent_of_tile_size(connectivity, monkeypatch):
         heat, _ = forward(batch, params, training=False)
         assert np.abs(heat - ref).max() <= 1e-12, tile_rows
         assert np.all(heat[~batch.block_mask] == 0.0)
+
+
+def test_training_step_peak_memory_is_about_seven_edge_arrays():
+    # a training step holds, per conv layer, its centred pre-activations,
+    # its ReLU mask and (past the first layer, whose pair rows are embedded
+    # tile by tile) its input; the final edge rows become their own
+    # gradient and the MLP head keeps no hidden row. Two 12x12 maps, about
+    # 34 000 pair rows (13.6 MB per (P, h) array), make the edge arrays the
+    # whole footprint.
+    grids = [generate_scenario(12, 12, 1.0, 0.0, seed=0),
+             generate_scenario(12, 12, 1.0, 0.2, seed=1)]
+    n = max(g.n_free for g in grids)
+    config = ModelConfig(n_max=n)
+    params = init_params(config, seed=0)
+    batch = stack_graphs([encode(g, n) for g in grids])
+    labels = np.stack([pairs_to_matrix(zip(range(g.n_free - 1), range(1, g.n_free)), n)
+                       for g in grids])
+    edge_bytes = batch.n_pairs * config.hidden * np.dtype(config.np_dtype).itemsize
+    tracemalloc.start()
+    try:
+        heat, cache = forward(batch, params, training=True)
+        loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
 
 
 def test_eval_forward_keeps_no_edge_array():
