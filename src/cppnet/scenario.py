@@ -11,6 +11,7 @@ small grids.
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -168,56 +169,53 @@ def free_cell_edges(grid: GridMap, connectivity: int = 4):
     return i[order], np.concatenate(dst)[order], np.concatenate(lengths)[order]
 
 
+@lru_cache(maxsize=None)
+def _label_structure(connectivity: int) -> np.ndarray:
+    steps = np.array(neighbor_steps(connectivity))
+    structure = np.zeros((3, 3), dtype=bool)
+    structure[1 + steps[:, 0], 1 + steps[:, 1]] = True
+    structure.setflags(write=False)
+    return structure
+
+
 def free_cells_connected(grid: GridMap, connectivity: int = 4) -> bool:
     """True if the start cell is free and every free cell is reachable from it."""
     if not grid.is_free(grid.start):
         return False
-    structure = np.zeros((3, 3), dtype=bool)
-    for dr, dc in neighbor_steps(connectivity):
-        structure[1 + dr, 1 + dc] = True
-    _, components = ndimage.label(~grid.occupancy, structure)
+    _, components = ndimage.label(~grid.occupancy, _label_structure(connectivity))
     return components == 1
 
 
-def _articulation_cells(free: set, start, connectivity: int) -> set:
-    """Articulation points of the free-cell graph (iterative Tarjan)."""
-    steps = neighbor_steps(connectivity)
-    disc, low = {}, {}
-    parent = {start: None}
-    articulation = set()
-    timer = 0
-    root_children = 0
-    stack = [(start, iter(steps))]
-    disc[start] = low[start] = timer
-    timer += 1
+def _safe_cells(neighbours, root: int) -> list[int]:
+    """Cells reachable from root, root excluded, that are no cut cells, in id order:
+    one iterative Tarjan search (Tarjan 1972) over flat disc/low/cut lists."""
+    n = len(neighbours)
+    disc, low, cut = [-1] * n, [0] * n, [False] * n
+    disc[root] = timer = 0
+    stack = [(root, iter(neighbours[root]))]
     while stack:
-        cell, it = stack[-1]
-        advanced = False
-        for dr, dc in it:
-            nxt = (cell[0] + dr, cell[1] + dc)
-            if nxt not in free:
-                continue
-            if nxt not in disc:
-                parent[nxt] = cell
-                if cell == start:
-                    root_children += 1
-                disc[nxt] = low[nxt] = timer
+        v, unseen = stack[-1]
+        lowest = low[v]
+        for w in unseen:
+            if disc[w] < 0:
+                low[v] = lowest
                 timer += 1
-                stack.append((nxt, iter(steps)))
-                advanced = True
+                disc[w] = low[w] = timer
+                stack.append((w, iter(neighbours[w])))
                 break
-            if nxt != parent[cell]:
-                low[cell] = min(low[cell], disc[nxt])
-        if not advanced:
+            # the edge back to v's parent counts too: harmless for cut cells
+            if disc[w] < lowest:
+                lowest = disc[w]
+        else:
             stack.pop()
-            p = parent[cell]
-            if p is not None:
-                low[p] = min(low[p], low[cell])
-                if p != start and low[cell] >= disc[p]:
-                    articulation.add(p)
-    if root_children > 1:
-        articulation.add(start)
-    return articulation
+            if stack:
+                parent = stack[-1][0]
+                if lowest < low[parent]:
+                    low[parent] = lowest
+                if lowest >= disc[parent]:
+                    cut[parent] = True
+    # disc > 0 leaves out root, so the root's own cut rule is never needed
+    return [v for v in range(n) if disc[v] > 0 and not cut[v]]
 
 
 def _connected_placement(rows, cols, n_obstacles, connectivity, rng) -> np.ndarray:
@@ -225,14 +223,17 @@ def _connected_placement(rows, cols, n_obstacles, connectivity, rng) -> np.ndarr
     removal keeps the remaining free cells connected. Never gets stuck: a
     connected graph on >= 3 vertices always has a non-articulation vertex
     other than the start cell."""
-    free = {(r, c) for r in range(rows) for c in range(cols)}
     occ = np.zeros((rows, cols), dtype=bool)
+    # on the empty grid a cell's slot is its row-major id r * cols + c
+    empty = GridMap(rows, cols, 1.0, np.zeros((rows, cols), dtype=bool), START_CELL)
+    i, j, _ = free_cell_edges(empty, connectivity)
+    neighbours = [ids.tolist() for ids in np.split(j, np.flatnonzero(np.diff(i)) + 1)]
     for _ in range(n_obstacles):
-        blocked = _articulation_cells(free, START_CELL, connectivity)
-        candidates = sorted(free - blocked - {START_CELL})
+        candidates = _safe_cells(neighbours, START_CELL[0] * cols + START_CELL[1])
         cell = candidates[int(rng.integers(len(candidates)))]
-        free.remove(cell)
-        occ[cell] = True
+        occ.flat[cell] = True
+        for other in neighbours[cell]:
+            neighbours[other].remove(cell)
     return occ
 
 
@@ -258,19 +259,20 @@ def generate_scenario(
         raise InvalidDensity(f"density {density} outside [0, 0.5]")
     if rows < 2 or cols < 2:
         raise ValueError("rows and cols must be >= 2")
+    if not (math.isfinite(cell_size) and cell_size > 0):
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
     n_cells = rows * cols
     n_obstacles = int(round(density * n_cells))
-    candidates = [(r, c) for r in range(rows) for c in range(cols) if (r, c) != START_CELL]
-    if n_obstacles > len(candidates) - 1:
+    if n_obstacles > n_cells - 2:
         raise InvalidDensity(f"cannot place {n_obstacles} obstacles on {n_cells} cells")
 
+    # the candidates are every cell id but the start's, in id order
     for attempt in range(REJECTION_TRIES):
         rng = np.random.default_rng([seed, attempt])
         occ = np.zeros((rows, cols), dtype=bool)
         if n_obstacles:
-            picks = rng.choice(len(candidates), size=n_obstacles, replace=False)
-            for k in picks:
-                occ[candidates[k]] = True
+            picks = rng.choice(n_cells - 1, size=n_obstacles, replace=False)
+            occ.flat[picks + (picks >= START_CELL[0] * cols + START_CELL[1])] = True
         grid = GridMap(rows, cols, float(cell_size), occ, START_CELL)
         if free_cells_connected(grid, connectivity):
             return grid

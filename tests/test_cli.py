@@ -60,6 +60,20 @@ def test_generate_bad_ratios_usage_error(tmp_path, capsys, ratios, reason):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell_size", ["0", "-1", "nan", "inf"])
+def test_generate_bad_cell_size_writes_nothing(tmp_path, capsys, cell_size):
+    # `cppnet label` refuses such a map, so `generate` must not write it
+    out = tmp_path / "data"
+    code = run(
+        "generate", "--count", "3", "--rows", "4", "--cols", "4",
+        f"--cell-size={cell_size}", "--density-min", "0", "--density-max", "0.2",
+        "--seed", "7", "--out", str(out),
+    )
+    assert code == 2
+    assert "cell_size must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_verb_usage_error(capsys):
     assert run("conquer") == 1
     err = capsys.readouterr().err

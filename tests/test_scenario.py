@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,12 @@ from hypothesis import strategies as st
 from cppnet import scenario
 from cppnet.errors import FormatVersionMismatch, InvalidDensity, ParseError
 from cppnet.scenario import (
+    REJECTION_TRIES,
+    START_CELL,
     GridMap,
     ScenarioSet,
     dataset_build,
+    free_cells_connected,
     generate_scenario,
     load_scenarios,
     save_scenarios,
@@ -74,6 +80,140 @@ def test_flood_fill_reaches_every_free_cell(density, seed, rows, cols):
     grid = generate_scenario(rows, cols, 1.0, density, seed=seed)
     assert int(grid.occupancy.sum()) == round(density * rows * cols)
     assert flood_fill_free(grid) == set(grid.free_cells())
+
+
+@pytest.mark.parametrize("cell_size", [0.0, -1.0, math.nan, math.inf])
+def test_bad_cell_size_rejected_before_drawing(cell_size):
+    with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+        generate_scenario(4, 4, cell_size, 0.2, seed=0)
+    with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+        dataset_build(3, 4, 4, cell_size, (0.0, 0.2), (1 / 3, 1 / 3, 1 / 3), seed=0)
+
+
+def _reference_articulation_cells(free: set, start, connectivity: int) -> set:
+    """Articulation points of the free-cell graph over (r, c) tuples: the
+    search the generator ran before it moved to integer cell ids."""
+    steps = scenario.neighbor_steps(connectivity)
+    disc, low = {}, {}
+    parent = {start: None}
+    articulation = set()
+    timer = 0
+    root_children = 0
+    stack = [(start, iter(steps))]
+    disc[start] = low[start] = timer
+    timer += 1
+    while stack:
+        cell, it = stack[-1]
+        advanced = False
+        for dr, dc in it:
+            nxt = (cell[0] + dr, cell[1] + dc)
+            if nxt not in free:
+                continue
+            if nxt not in disc:
+                parent[nxt] = cell
+                if cell == start:
+                    root_children += 1
+                disc[nxt] = low[nxt] = timer
+                timer += 1
+                stack.append((nxt, iter(steps)))
+                advanced = True
+                break
+            if nxt != parent[cell]:
+                low[cell] = min(low[cell], disc[nxt])
+        if not advanced:
+            stack.pop()
+            p = parent[cell]
+            if p is not None:
+                low[p] = min(low[p], low[cell])
+                if p != start and low[cell] >= disc[p]:
+                    articulation.add(p)
+    if root_children > 1:
+        articulation.add(start)
+    return articulation
+
+
+def reference_connected_placement(rows, cols, n_obstacles, connectivity, rng) -> np.ndarray:
+    """The tuple-based connectivity-preserving draw the generator replaced."""
+    free = {(r, c) for r in range(rows) for c in range(cols)}
+    occ = np.zeros((rows, cols), dtype=bool)
+    for _ in range(n_obstacles):
+        blocked = _reference_articulation_cells(free, START_CELL, connectivity)
+        candidates = sorted(free - blocked - {START_CELL})
+        cell = candidates[int(rng.integers(len(candidates)))]
+        free.remove(cell)
+        occ[cell] = True
+    return occ
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_placement_matches_tuple_reference(connectivity):
+    draws = 0
+    for rows, cols in [(2, 2), (2, 9), (9, 2), (7, 7), (12, 12)]:
+        for density in (0.1, 0.2, 0.3, 0.4, 0.5):
+            n_obstacles = round(density * rows * cols)
+            for seed in range(5):
+                # the generator's own seeding of its connectivity-preserving draw
+                ours, theirs = (np.random.default_rng([seed, REJECTION_TRIES]) for _ in range(2))
+                occ = scenario._connected_placement(rows, cols, n_obstacles, connectivity, ours)
+                assert np.array_equal(
+                    occ,
+                    reference_connected_placement(rows, cols, n_obstacles, connectivity, theirs),
+                ), (rows, cols, density, seed)
+                assert int(occ.sum()) == n_obstacles
+                draws += 1
+    assert draws > 100
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_safe_cells_match_brute_force(connectivity):
+    """A cell is safe exactly when the free cells stay connected without it."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(x) for x in rng.integers(2, 7, size=2))
+        grid = generate_scenario(rows, cols, 1.0, float(rng.uniform(0, 0.5)), seed, connectivity)
+        # neighbour lists by row-major cell id; an obstacle cell has none
+        ids = np.flatnonzero(~grid.occupancy)
+        neighbours = [[] for _ in range(rows * cols)]
+        for i, j in zip(*scenario.free_cell_edges(grid, connectivity)[:2]):
+            neighbours[ids[i]].append(int(ids[j]))
+        safe = scenario._safe_cells(neighbours, START_CELL[0] * cols + START_CELL[1])
+        brute = []
+        for r, c in grid.free_cells():
+            occ = grid.occupancy.copy()
+            occ[r, c] = True
+            if free_cells_connected(GridMap(rows, cols, 1.0, occ, START_CELL), connectivity):
+                brute.append(r * cols + c)
+        assert safe == brute, (seed, grid.to_text())
+
+
+# sha256 of the concatenated to_text() of the benchmark's map sets; label
+# caches, bench records and acceptance criteria 4-6 are keyed on these maps
+GOLDEN_SETS = {
+    "held-out 10x10, 4-connected": (
+        (110, 10, 10, 1.0, (0.0, 0.5), (0.0, 0.0, 1.0), 777, 4),
+        "8b194f9838cfbddc18adca8c0821268bb7295d548948ced23b403d52350ce945",
+    ),
+    "held-out 10x10, 8-connected": (
+        (110, 10, 10, 1.0, (0.0, 0.5), (0.0, 0.0, 1.0), 777, 8),
+        "bb2ebc92629f4c10807631146e94939a711fa259f1c5ee66e3aa6f22a0160042",
+    ),
+    "held-out 20x20": (
+        (12, 20, 20, 1.0, (0.0, 0.5), (0.0, 0.0, 1.0), 777, 4),
+        "e7d4c4bd907251c0f5c3ea7295831b9bb232fb7bfe5eab880d432b24f895a14c",
+    ),
+    "acceptance train set": (
+        (250, 10, 10, 1.0, (0.0, 0.5), (0.8, 0.2, 0.0), 101, 4),
+        "d01f1af392460cc6f0061e1ea23042ce5430775a5738257ee82b649e96efaa7e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
+def test_benchmark_map_sets_are_unchanged(name):
+    args, digest = GOLDEN_SETS[name]
+    sset = dataset_build(*args)
+    text = "".join(grid.to_text() for grid in sset.scenarios)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_split_sizes_paper_ratios():
