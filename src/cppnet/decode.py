@@ -100,7 +100,7 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
     Euclidean straight-line heuristic (admissible and consistent for both
     connectivities), read from one table per call; ties prefer lower f,
     then higher g, then the lower row-major cell index, so paths are
-    reproducible.
+    reproducible. The path holds the map's shared cell_table tuples.
     """
     if start_cell == goal_cell:
         return [start_cell], 0.0
@@ -108,6 +108,7 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
     size = grid.cell_size
     steps = weighted_steps(connectivity, size)
     blocked = grid.occupancy.tolist()
+    table = grid.cell_table
     heuristic = (size * np.hypot(np.arange(rows)[:, None] - goal_cell[0],
                                  np.arange(cols) - goal_cell[1])).tolist()
 
@@ -133,14 +134,15 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
             r, c = cell[0] + dr, cell[1] + dc
             if not (0 <= r < rows and 0 <= c < cols) or blocked[r][c]:
                 continue
-            nxt = (r, c)
+            k = r * cols + c
+            nxt = table[k]
             if nxt in closed:
                 continue
             ng = g + step_cost
             if ng < g_score.get(nxt, np.inf) - 1e-12:
                 g_score[nxt] = ng
                 came[nxt] = cell
-                heappush(open_heap, (ng + heuristic[r][c], -ng, r * cols + c, nxt))
+                heappush(open_heap, (ng + heuristic[r][c], -ng, k, nxt))
     raise AssertionError(f"no path {start_cell} -> {goal_cell}; map invariant violated")
 
 

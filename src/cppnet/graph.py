@@ -36,4 +36,4 @@ def encode(grid: GridMap, n_max: int, connectivity: int = 4) -> ScenarioGraph:
     edges = (i[order], j[order], length[order])
     for arr in (coords, *edges):
         arr.setflags(write=False)
-    return ScenarioGraph(n_max, n_free, coords, edges, tuple(zip(rs.tolist(), cs.tolist())))
+    return ScenarioGraph(n_max, n_free, coords, edges, tuple(grid.free_cells()))

@@ -11,7 +11,7 @@ small grids.
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -98,10 +98,16 @@ class GridMap:
     def is_free(self, cell) -> bool:
         return self.in_bounds(cell) and not self.occupancy[cell[0], cell[1]]
 
+    @cached_property
+    def cell_table(self) -> tuple[tuple[int, int], ...]:
+        """(r, c) of every cell in row-major order, made once per map, so
+        that the paths planned on it share their cell tuples."""
+        return tuple((r, c) for r in range(self.rows) for c in range(self.cols))
+
     def free_cells(self) -> list[tuple[int, int]]:
-        """All free cells in row-major order."""
-        rs, cs = np.nonzero(~self.occupancy)
-        return list(zip(rs.tolist(), cs.tolist()))
+        """All free cells in row-major order, as cell_table's tuples."""
+        table = self.cell_table
+        return [table[k] for k in np.flatnonzero(~self.occupancy).tolist()]
 
     @property
     def start_slot(self) -> int:

@@ -19,7 +19,7 @@ from cppnet.decode import (
 from cppnet.errors import CapacityExceeded, FormatVersionMismatch, ParseError
 from cppnet.graph import encode
 from cppnet.model import ModelConfig, init_params
-from cppnet.oracle import Tour, cost_matrix, label_pairs, pairs_to_matrix, two_opt
+from cppnet.oracle import Tour, cost_matrix, label_pairs, nearest_neighbor_tour, pairs_to_matrix, two_opt
 from cppnet.scenario import GridMap, generate_scenario, weighted_steps
 
 from conftest import bfs_distances
@@ -316,6 +316,20 @@ def test_astar_deterministic():
     a = astar(grid, cells[0], cells[-1])
     b = astar(grid, cells[0], cells[-1])
     assert a == b
+
+
+def test_paths_of_one_map_share_its_cell_tuples():
+    grid = generate_scenario(8, 8, 1.0, 0.3, seed=5)
+    params = init_params(ModelConfig(hidden=4, conv_layers=1, n_max=64), seed=0)
+    learned = plan(grid, params)
+    baseline = stitch(nearest_neighbor_tour(cost_matrix(grid), grid.start_slot), grid)
+    # both paths take A* detours, whose cells come from the table too
+    assert len(learned.path) > grid.n_free and len(baseline.path) > grid.n_free
+    table = {id(cell) for cell in grid.cell_table}
+    assert all(id(cell) in table for cell in learned.path + baseline.path)
+    fresh = trajectory_from_text(trajectory_to_text(learned, grid.content_hash()))[0].path
+    assert fresh == learned.path
+    assert all(type(r) is int and type(c) is int for r, c in learned.path)
 
 
 def test_plan_single_free_cell():

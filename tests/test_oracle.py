@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -13,15 +14,17 @@ from cppnet.oracle import (
     label_pairs,
     labels_from_text,
     labels_to_text,
+    _two_opt_descent,
     nearest_neighbor_tour,
     pairs_to_matrix,
     tour_length,
     two_opt,
     Tour,
 )
-from cppnet.scenario import GridMap, generate_scenario, scenario_from_text
+from cppnet.scenario import GridMap, dataset_build, generate_scenario, scenario_from_text
 
 from conftest import bfs_distances, exhaustive_best_open_path
+from test_scenario import GOLDEN_SETS
 
 
 def corridor(n):
@@ -103,25 +106,123 @@ def test_two_opt_never_worse_than_nearest_neighbor():
         assert improved.length <= nn.length + 1e-9
 
 
-def test_two_opt_is_locally_optimal():
-    grid = generate_scenario(5, 5, 1.0, 0.2, seed=21)
-    costs = cost_matrix(grid)
-    tour = two_opt(costs, 0)
-    order = list(tour.order)
-    cost = costs.cost
+def reversal_deltas(order, cost):
+    """Length change of reversing positions a..b of an open path, by (a, b)."""
     n = len(order)
+    deltas = {}
     for a in range(1, n - 1):
         for b in range(a + 1, n):
             if b < n - 1:
-                delta = (
+                deltas[a, b] = (
                     cost[order[a - 1], order[b]]
                     + cost[order[a], order[b + 1]]
                     - cost[order[a - 1], order[a]]
                     - cost[order[b], order[b + 1]]
                 )
             else:
-                delta = cost[order[a - 1], order[b]] - cost[order[a - 1], order[a]]
-            assert delta >= -1e-9, f"improving reversal ({a}, {b}) left behind"
+                deltas[a, b] = cost[order[a - 1], order[b]] - cost[order[a - 1], order[a]]
+    return deltas
+
+
+def improving_moves(order, cost):
+    return sorted(move for move, delta in reversal_deltas(order, cost).items() if delta < -1e-9)
+
+
+def reversed_at(order, a, b):
+    return order[:a] + order[a : b + 1][::-1] + order[b + 1 :]
+
+
+def line_costs(x):
+    """Cost matrix of nodes placed at the points x of a line."""
+    x = np.asarray(x, dtype=float)
+    return np.abs(x[:, None] - x[None, :])
+
+
+def symmetric_costs(n, entries):
+    cost = np.zeros((n, n))
+    for (i, j), value in entries.items():
+        cost[i, j] = cost[j, i] = value
+    return cost
+
+
+def test_two_opt_is_locally_optimal():
+    for connectivity, seed in itertools.product((4, 8), (21, 5, 30)):
+        grid = generate_scenario(5, 5, 1.0, 0.2, seed=seed, connectivity=connectivity)
+        costs = cost_matrix(grid, connectivity)
+        tour = two_opt(costs, grid.start_slot)
+        left = improving_moves(list(tour.order), costs.cost)
+        assert not left, f"improving reversals {left} left behind ({connectivity}, {seed})"
+
+
+@pytest.mark.parametrize("x, expected", [
+    ([0], [0]),
+    ([0, 1], [0, 1]),
+    ([1, 0], [0, 1]),  # position 0 never moves, so two nodes never change
+    ([0, 1, 2], [0, 1, 2]),
+    ([0, 2, 1], [0, 2, 1]),  # the one move, the tail reversal (1, 2)
+])
+def test_descent_on_one_to_three_nodes(x, expected):
+    assert _two_opt_descent(list(range(len(x))), line_costs(x)) == expected
+
+
+def test_descent_takes_the_only_improving_move_a_tail_reversal():
+    # nodes at 0, 3, 2, 1 on a line: only reversing the whole tail helps
+    cost = line_costs([0, 3, 2, 1])
+    assert improving_moves([0, 1, 2, 3], cost) == [(1, 3)]
+    assert _two_opt_descent([0, 1, 2, 3], cost) == [0, 3, 2, 1]
+
+
+@pytest.mark.parametrize("n, entries", [
+    # tail reversal (1, 2): delta = 0.0 - t
+    (3, {(0, 1): "t", (1, 2): 1.0}),
+    # inner reversal (1, 2): delta = ((1.0 + 1.0) - 2.0) - t, while
+    # ((1.0 + 1.0) - t) - 2.0 would round below -t; both tail reversals
+    # change nothing
+    (4, {(0, 1): 2.0, (0, 2): 1.0, (0, 3): 2.0, (1, 2): 1.0, (1, 3): 1.0, (2, 3): "t"}),
+], ids=["tail", "inner"])
+@pytest.mark.parametrize("t, taken", [(1e-9, False), (2e-9, True)])
+def test_descent_threshold_is_strict(n, entries, t, taken):
+    cost = symmetric_costs(n, {k: t if v == "t" else v for k, v in entries.items()})
+    assert reversal_deltas(list(range(n)), cost)[1, 2] == -t
+    assert (_two_opt_descent(list(range(n)), cost) != list(range(n))) == taken
+
+
+@pytest.mark.parametrize("x, later_move, expected", [
+    ([1, 2, 0, 4, 3], (2, 4), [0, 2, 1, 4, 3]),  # the later move is on a later row
+    ([1, 3, 2, 4, 0], (1, 4), [0, 2, 1, 3, 4]),  # ... on the same row
+])
+def test_descent_applies_the_first_improving_move_in_row_major_order(x, later_move, expected):
+    cost = line_costs(x)
+    order = [0, 1, 2, 3, 4]
+    moves = improving_moves(order, cost)
+    assert moves[0] == (1, 2) and later_move in moves
+    # a descent keeps no state between scans: after its first move it goes on
+    # as a descent started from the order that move made
+    assert _two_opt_descent(list(order), cost) == expected
+    assert _two_opt_descent(reversed_at(order, 1, 2), cost) == expected
+    assert _two_opt_descent(reversed_at(order, *later_move), cost) != expected
+
+
+# sha256 of one line per map, the 2-opt tour's order and the repr of its
+# length, over the benchmark's map sets that test_scenario.GOLDEN_SETS pins;
+# any change to a tour, or to a bit of its length, shows here
+GOLDEN_TOURS = {
+    "held-out 10x10, 4-connected": "879f8b92b46e26d8f6cc20c8b5d02a34da17aca1693a06bfce59c31c04775fe1",
+    "held-out 10x10, 8-connected": "1893038c9204871158b7898c655843c94264e5c24bcc2640898289179f2dc424",
+    "held-out 20x20": "fb281ddf8515ba228eca20c66960db09ad9f2efed2afff8c7d5bc718c4bf962d",
+    "acceptance train set": "b4a6e691650bbe445194f5ba70a0758266d75e61c94482aa85d04d13fd07a741",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TOURS))
+def test_two_opt_tours_are_unchanged(name):
+    args = GOLDEN_SETS[name][0]
+    connectivity = args[-1]
+    text = ""
+    for grid in dataset_build(*args).scenarios:
+        tour = two_opt(cost_matrix(grid, connectivity), grid.start_slot)
+        text += " ".join(map(str, tour.order)) + f" {tour.length!r}\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_TOURS[name]
 
 
 def test_two_opt_tour_is_valid_permutation():
