@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 from heapq import heappop, heappush
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +21,14 @@ from cppnet.decode import (
 )
 from cppnet.errors import CapacityExceeded, FormatVersionMismatch, ParseError
 from cppnet.graph import encode
-from cppnet.model import ModelConfig, init_params
+from cppnet.model import ModelConfig, init_params, load_checkpoint
 from cppnet.oracle import Tour, cost_matrix, label_pairs, nearest_neighbor_tour, pairs_to_matrix, two_opt
-from cppnet.scenario import GridMap, generate_scenario, weighted_steps
+from cppnet.scenario import GridMap, dataset_build, generate_scenario, weighted_steps
 
 from conftest import bfs_distances
+from test_scenario import GOLDEN_SETS
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "acceptance.ckpt"
 
 
 def grid_from_rows(rows_text, cell_size=1.0, start=(0, 0)):
@@ -330,6 +336,32 @@ def test_paths_of_one_map_share_its_cell_tuples():
     fresh = trajectory_from_text(trajectory_to_text(learned, grid.content_hash()))[0].path
     assert fresh == learned.path
     assert all(type(r) is int and type(c) is int for r, c in learned.path)
+
+
+# sha256 of one line per map, the learned tour's order and the repr of its
+# stitched length, planned with the trained fixture over the benchmark's map
+# sets that test_scenario.GOLDEN_SETS pins; any change to a tour, or to a bit
+# of its length, shows here
+GOLDEN_PLANS = {
+    "held-out 10x10, 4-connected": "36bb611b6387c96e2cb1d78cf51776245a336b273e1738b31de3b5e0a0f40d2a",
+    "held-out 10x10, 8-connected": "eb47cc5fc48f8d27045992e63e1bcbf19a0e2a56977d5dcb5d6508c6f7ea741d",
+    "held-out 20x20": "94ff711bb9babcb31f72c637bd60c99ae18df2084fee3808dfd015347a017eb2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+def test_learned_plans_are_unchanged(name):
+    args = GOLDEN_SETS[name][0]
+    rows, cols, connectivity = args[1], args[2], args[-1]
+    params = load_checkpoint(FIXTURE)
+    # n_max is capacity only; the 20x20 maps need more than the fixture's
+    config = dataclasses.replace(params.config, n_max=max(params.config.n_max, rows * cols))
+    params = dataclasses.replace(params, config=config)
+    text = ""
+    for grid in dataset_build(*args).scenarios:
+        traj = plan(grid, params, connectivity)
+        text += " ".join(map(str, traj.tour.order)) + f" {traj.length!r}\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_PLANS[name]
 
 
 def test_plan_single_free_cell():
