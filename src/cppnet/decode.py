@@ -7,6 +7,7 @@ decoder covers every free cell for any heat input, including uniform or
 adversarial ones, because some unvisited cell is always the nearest.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -18,7 +19,7 @@ from .fileio import atomic_write_text, read_text
 from .graph import ScenarioGraph, encode
 from .model import ModelParams, heat_for_graph
 from .oracle import Tour
-from .scenario import GridMap, neighbor_steps, weighted_steps
+from .scenario import GridMap, weighted_steps
 
 TRAJ_HEADER = "cpp-traj v1"
 
@@ -31,47 +32,32 @@ class Trajectory:
     inference_ms: float = 0.0
 
 
-def _radius1_slots(cells: np.ndarray, connectivity: int) -> np.ndarray:
-    """(n, S) slots of each slot's radius-1 cells under the decoder's radius
-    rule, n where the step leaves the free cells. Slots number the cells in
-    row-major order, so taking the steps in row-major offset order lists
-    each slot's neighbours in ascending slot order."""
-    n = len(cells)
-    # slot of every cell, with a border of n on every side
-    lookup = np.full(tuple(cells.max(axis=0) + 3), n)
-    lookup[cells[:, 0] + 1, cells[:, 1] + 1] = np.arange(n)
-    return np.stack([lookup[cells[:, 0] + 1 + dr, cells[:, 1] + 1 + dc]
-                     for dr, dc in sorted(neighbor_steps(connectivity))], axis=1)
-
-
-def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, start: int,
-                  connectivity: int = 4) -> Tour:
+def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, start: int) -> Tour:
     """Greedy tour over symmetrized probabilities in the nearest neighborhood.
 
     From the current cell, the unvisited node with the highest
     (p_ij + p_ji) / 2 is chosen among the unvisited nodes at the smallest
-    radius from it (ties to the lower slot). Radius 1 is scanned first, in
-    plain Python over the precomputed neighbour slots and their
-    probabilities; the radius scan over every cell runs only for a step with
-    no unvisited neighbour.
+    radius from it (ties to the lower slot). Radius 1 is the graph's own
+    neighbour pairs, scanned in plain Python along its edge list; the radius
+    scan over every cell, in the Manhattan or Chebyshev balls of the graph's
+    connectivity, runs only for a step with no unvisited neighbour.
     """
     n = graph.n_free
-    cells = np.array(graph.slot_cells[:n])
-    near1 = _radius1_slots(cells, connectivity)
-    slots = np.arange(n)[:, None]
-    # (p_ij + p_ji) / 2 of every radius-1 pair; slot n reads slot n - 1's
-    # value, which the scan skips
-    inside = np.minimum(near1, n - 1)
-    near1_sym = ((heat[slots, inside] + heat[inside, slots]) * 0.5).tolist()
-    near1 = near1.tolist()
-    # slot n stands for "no free cell there" and counts as visited
-    visited = [False] * n + [True]
+    cells = np.array(graph.slot_cells)
+    i, j, _ = graph.edges
+    # edges are sorted by (i, j): slot s's neighbours, in ascending slot
+    # order, are j[bounds[s]:bounds[s + 1]]
+    bounds = np.searchsorted(i, np.arange(n + 1)).tolist()
+    near1 = j.tolist()
+    near1_sym = ((heat[i, j] + heat[j, i]) * 0.5).tolist()
+    visited = [False] * n
     visited[start] = True
     order = [start]
     current = start
     for _ in range(n - 1):
         chosen, best = -1, 0.0
-        for k, value in zip(near1[current], near1_sym[current]):
+        lo, hi = bounds[current], bounds[current + 1]
+        for k, value in zip(near1[lo:hi], near1_sym[lo:hi]):
             if visited[k]:
                 continue
             # strict > keeps the lowest slot of a tie; the first NaN wins,
@@ -84,8 +70,8 @@ def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, start: int,
             dc = np.abs(cells[:, 1] - cur_cell[1])
             # Manhattan balls on 4-connected grids, Chebyshev balls on
             # 8-connected ones: radius 1 is exactly the grid neighbors
-            radii = dr + dc if connectivity == 4 else np.maximum(dr, dc)
-            unvisited = np.flatnonzero(~np.array(visited[:n]))
+            radii = dr + dc if graph.connectivity == 4 else np.maximum(dr, dc)
+            unvisited = np.flatnonzero(~np.array(visited))
             near = unvisited[radii[unvisited] == radii[unvisited].min()]
             chosen = int(near[np.argmax((heat[current, near] + heat[near, current]) * 0.5)])
         visited[chosen] = True
@@ -185,7 +171,7 @@ def plan(grid: GridMap, params: ModelParams, connectivity: int = 4) -> Trajector
     t0 = time.perf_counter()
     graph = encode(grid, n_max=grid.n_free, connectivity=connectivity)
     heat = heat_for_graph(graph, params)
-    tour = greedy_decode(heat, graph, grid.start_slot, connectivity)
+    tour = greedy_decode(heat, graph, grid.start_slot)
     traj = stitch(tour, grid, connectivity)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return Trajectory(traj.tour, traj.path, traj.length, elapsed_ms)
@@ -204,8 +190,9 @@ def trajectory_to_text(traj: Trajectory, scenario_hash: str) -> str:
 
 
 def trajectory_from_text(text: str) -> tuple[Trajectory, str]:
-    """A trajectory file's contents; a missing, repeated or unknown key is a
-    ParseError."""
+    """A trajectory file's contents; a missing, repeated or unknown key, a
+    negative slot or cell, or a length or time that is not finite and >= 0
+    is a ParseError."""
     lines = text.splitlines()
     if not lines or lines[0] != TRAJ_HEADER:
         raise FormatVersionMismatch(f"bad trajectory header: {lines[0]!r}" if lines else "empty file")
@@ -228,6 +215,11 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, str]:
         raise ParseError(f"malformed trajectory file: {exc}") from exc
     if fields:
         raise ParseError(f"unknown trajectory key {next(iter(fields))!r}")
+    if any(s < 0 for s in order) or any(v < 0 for cell in path for v in cell):
+        raise ParseError("trajectory tour slots and path cells must be >= 0")
+    if not all(math.isfinite(v) and v >= 0.0 for v in (length, inference_ms)):
+        raise ParseError(f"trajectory length_m {length!r} and inference_ms {inference_ms!r} "
+                         "must be finite and >= 0")
     return Trajectory(Tour(order, length), path, length, inference_ms), scenario_hash
 
 

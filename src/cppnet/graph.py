@@ -2,7 +2,8 @@
 
 Free cells become node slots in row-major order. The encoding carries the
 cell-centre coordinates of each slot and the free-cell edge list, every
-directed neighbour pair (i, j) with its step length, sorted by (i, j).
+directed neighbour pair (i, j) with its step length, sorted by (i, j), and
+the connectivity (4 or 8) those pairs follow.
 n_max is the capacity: the slots of the padded heat and label maps.
 """
 
@@ -21,6 +22,7 @@ class ScenarioGraph:
     coords: np.ndarray      # (n_free, 2) cell centres in metres
     edges: tuple            # (i, j, length): neighbour pairs sorted by (i, j)
     slot_cells: tuple       # slot -> (row, col), length n_free
+    connectivity: int       # 4 or 8: the neighbour steps the edges follow
 
 
 def encode(grid: GridMap, n_max: int, connectivity: int = 4) -> ScenarioGraph:
@@ -36,4 +38,4 @@ def encode(grid: GridMap, n_max: int, connectivity: int = 4) -> ScenarioGraph:
     edges = (i[order], j[order], length[order])
     for arr in (coords, *edges):
         arr.setflags(write=False)
-    return ScenarioGraph(n_max, n_free, coords, edges, tuple(grid.free_cells()))
+    return ScenarioGraph(n_max, n_free, coords, edges, tuple(grid.free_cells()), connectivity)

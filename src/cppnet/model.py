@@ -35,7 +35,7 @@ Conventions:
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -746,14 +746,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned binary container: config, then all tensors in declared
     order with shape headers. Byte-deterministic for identical params."""
     chunks = [f"{CHECKPOINT_HEADER}\n".encode()]
-    cfg = {
-        "hidden": params.config.hidden,
-        "conv_layers": params.config.conv_layers,
-        "mlp_layers": params.config.mlp_layers,
-        "n_max": params.config.n_max,
-        "dtype": params.config.dtype,
-    }
-    chunks.append((json.dumps(cfg, sort_keys=True) + "\n").encode())
+    chunks.append((json.dumps(asdict(params.config), sort_keys=True) + "\n").encode())
     for name, arr in params.named_trainable() + params.named_running():
         arr = np.ascontiguousarray(arr)
         shape = ",".join(str(d) for d in arr.shape) or "-"

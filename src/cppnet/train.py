@@ -134,22 +134,23 @@ def _batch_tensors(graphs, pair_lists, n_max, dtype):
 
 
 def evaluate(params: ModelParams, scenarios: list[GridMap],
-             label_cache: LabelCache | None = None, connectivity: int = 4):
+             label_cache: LabelCache | None = None):
     """Eval-mode loss and edge precision/recall/F1 over masked pairs.
 
-    A heat of 0.5 or more predicts an edge. Metrics pool every masked
-    edge across the whole scenario list.
+    Graphs are encoded under the label cache's connectivity (4 without a
+    cache). A heat of 0.5 or more predicts an edge. Metrics pool every
+    masked edge across the whole scenario list.
     """
     if not scenarios:
         raise EmptyEvalSet("no scenarios to evaluate")
-    cache = label_cache or LabelCache(None, connectivity=connectivity)
+    cache = label_cache or LabelCache(None)
     n_max = params.config.n_max
     dtype = params.config.np_dtype
     tp = fp = fn = tn = 0
     losses = []
     weights = []
     for grid in scenarios:
-        graph = encode(grid, n_max, connectivity)
+        graph = encode(grid, n_max, cache.connectivity)
         batch = stack_graphs([graph], dtype=dtype)
         heat, _ = forward(batch, params, training=False)
         labels = pairs_to_matrix(cache.pairs_for(grid), n_max)[None].astype(dtype)
@@ -220,7 +221,7 @@ def train(sset: ScenarioSet, config: TrainConfig, model_config: ModelConfig,
                 continue
             optimizer.step(grads.trainable_arrays())
             batch_losses.append(loss)
-        val = evaluate(params, val_maps, label_cache=cache, connectivity=connectivity)
+        val = evaluate(params, val_maps, label_cache=cache)
         stats = EpochStats(
             epoch,
             float(np.mean(batch_losses)) if batch_losses else float("nan"),

@@ -2,9 +2,13 @@
 
 import itertools
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+# the trained checkpoint the benchmark plans with
+FIXTURE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "acceptance.ckpt"
 
 
 def bfs_distances(grid, source, connectivity=4):

@@ -264,7 +264,7 @@ def test_criterion_6_speed_ratio(heldout_records):
         f"median learned {med_learned * 1e3:.1f} ms vs median 2-opt "
         f"{med_baseline * 1e3:.1f} ms, ratio {ratio:.2f}x (needs >= {SPEED_RATIO_FLOOR}x); "
         "known negative result: the pinned cost-matrix 2-opt baseline converges in "
-        "milliseconds at this scale, see decisions ledger"
+        "milliseconds at this scale, see README \"Known negative result\""
     )
     criterion(6, "speed ratio", ratio >= SPEED_RATIO_FLOOR, detail)
 

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 from heapq import heappop, heappush
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +24,8 @@ from cppnet.model import ModelConfig, init_params, load_checkpoint
 from cppnet.oracle import Tour, cost_matrix, label_pairs, nearest_neighbor_tour, pairs_to_matrix, two_opt
 from cppnet.scenario import GridMap, dataset_build, generate_scenario, weighted_steps
 
-from conftest import bfs_distances
+from conftest import FIXTURE_CKPT, bfs_distances
 from test_scenario import GOLDEN_SETS
-
-FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "acceptance.ckpt"
 
 
 def grid_from_rows(rows_text, cell_size=1.0, start=(0, 0)):
@@ -196,7 +193,7 @@ def test_decode_and_stitch_match_reference(kind, connectivity, monkeypatch):
             heat = rng.integers(0, 3, size=(n, n)) * 0.5
         else:
             heat = rng.uniform(size=(n, n)).astype(np.float32 if seed % 2 else np.float64)
-        tour = greedy_decode(heat, graph, grid.start_slot, connectivity)
+        tour = greedy_decode(heat, graph, grid.start_slot)
         assert tour.order == reference_greedy_decode(heat, graph, grid.start_slot,
                                                      connectivity).order
         traj = stitch(tour, grid, connectivity)
@@ -209,19 +206,24 @@ def test_decode_and_stitch_match_reference(kind, connectivity, monkeypatch):
     assert trapped > (steps // 10 if kind == "trapped" else 0)
 
 
-def test_decode_radius_follows_the_connectivity_argument():
-    # the radius-1 set comes from the connectivity argument, not from the
-    # neighbour pairs of the graph, which may be encoded under the other one
+def test_decode_radius_follows_the_encoded_connectivity():
+    # encode records its connectivity, and the decoder's radius-1 set and
+    # radius rule both follow it
     rng = np.random.default_rng(9)
+    differ = 0
     for seed in range(20):
         grid = generate_scenario(6, 7, 1.0, 0.3, seed=seed)
         n = grid.n_free
         heat = rng.uniform(size=(n, n))
-        for encoded, decoded in ((8, 4), (4, 8)):
-            graph = encode(grid, n, encoded)
-            tour = greedy_decode(heat, graph, grid.start_slot, decoded)
-            assert tour.order == reference_greedy_decode(heat, graph, grid.start_slot,
-                                                         decoded).order
+        orders = {}
+        for connectivity in (4, 8):
+            graph = encode(grid, n, connectivity)
+            assert graph.connectivity == connectivity
+            orders[connectivity] = greedy_decode(heat, graph, grid.start_slot).order
+            assert orders[connectivity] == reference_greedy_decode(
+                heat, graph, grid.start_slot, connectivity).order
+        differ += orders[4] != orders[8]
+    assert differ > 0
 
 
 def test_decode_nan_heat_picks_as_argmax():
@@ -353,7 +355,7 @@ GOLDEN_PLANS = {
 def test_learned_plans_are_unchanged(name):
     args = GOLDEN_SETS[name][0]
     rows, cols, connectivity = args[1], args[2], args[-1]
-    params = load_checkpoint(FIXTURE)
+    params = load_checkpoint(FIXTURE_CKPT)
     # n_max is capacity only; the 20x20 maps need more than the fixture's
     config = dataclasses.replace(params.config, n_max=max(params.config.n_max, rows * cols))
     params = dataclasses.replace(params, config=config)
@@ -418,6 +420,17 @@ def test_trajectory_repeated_or_unknown_key_rejected(extra, message):
     assert trajectory_from_text(TRAJ_TEXT)[0].length == 1.0
     with pytest.raises(ParseError, match=message):
         trajectory_from_text(TRAJ_TEXT + extra)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("length_m 1.0", "length_m nan", "must be finite and >= 0"),
+    ("inference_ms 2.0", "inference_ms -inf", "must be finite and >= 0"),
+    ("tour 0 1", "tour 0 -1", "slots and path cells must be >= 0"),
+    ("path 0,0 0,1", "path 0,0 -1,1", "slots and path cells must be >= 0"),
+], ids=["nan-length", "negative-inf-time", "negative-slot", "negative-cell"])
+def test_trajectory_bad_value_rejected(old, new, message):
+    with pytest.raises(ParseError, match=message):
+        trajectory_from_text(TRAJ_TEXT.replace(old, new))
 
 
 def test_trajectory_bad_header():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import re
 import tracemalloc
 
@@ -31,7 +32,7 @@ from cppnet.model import (
 from cppnet.oracle import cost_matrix, label_pairs, pairs_to_matrix, two_opt
 from cppnet.scenario import generate_scenario, scenario_from_text
 
-from conftest import finite_difference_check, randomize_params
+from conftest import FIXTURE_CKPT, finite_difference_check, randomize_params
 
 
 def small_setup(map_seed=3, param_seed=1, hidden=6, layers=2, density=0.2, pad=2,
@@ -575,6 +576,15 @@ def test_checkpoint_bytes_stable(tmp_path):
     save_checkpoint(params, tmp_path / "a.ckpt")
     save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_fixture_checkpoint_rewrites_to_its_own_bytes(tmp_path):
+    # the config line comes from the ModelConfig fields themselves
+    save_checkpoint(load_checkpoint(FIXTURE_CKPT), tmp_path / "copy.ckpt")
+    written = (tmp_path / "copy.ckpt").read_bytes()
+    assert written == FIXTURE_CKPT.read_bytes()
+    assert hashlib.sha256(written).hexdigest() == \
+        "670b2aecc82bee33faef437f18c4ae088916cd438b5912eed88da91f19b59ebe"
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -131,6 +131,21 @@ def test_evaluate_constant_half_ties_predict_positive(monkeypatch):
     assert metrics["precision"] < 0.5
 
 
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_evaluate_encodes_under_its_cache_connectivity(connectivity, monkeypatch):
+    maps = tiny_dataset(count=6).scenarios[:2]
+    params = init_params(tiny_model_config(), seed=0)
+    encoded = []
+
+    def recording_encode(grid, n_max, conn):
+        encoded.append(conn)
+        return encode(grid, n_max, conn)
+
+    monkeypatch.setattr(train_mod, "encode", recording_encode)
+    evaluate(params, maps, label_cache=LabelCache(None, connectivity=connectivity))
+    assert encoded == [connectivity] * len(maps)
+
+
 def test_evaluate_empty_set():
     params = init_params(tiny_model_config(), seed=0)
     with pytest.raises(EmptyEvalSet):
