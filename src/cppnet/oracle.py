@@ -7,7 +7,9 @@ benchmark baseline; an exhaustive solver covers small instances as an
 independent optimum reference.
 """
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,17 +48,64 @@ class Tour:
 
 def cost_matrix(grid: GridMap, connectivity: int = 4) -> CostMatrix:
     n = grid.n_free
+    # free_cell_edges sorts its pairs by i and holds both directions of each
     i, j, length = free_cell_edges(grid, connectivity)
-    adj = csr_matrix((length, (i, j)), shape=(n, n))
-    cost = dijkstra(adj, directed=False)
+    adj = csr_matrix((length, j, np.searchsorted(i, np.arange(n + 1))), shape=(n, n))
+    cost = dijkstra(adj, directed=True)
     if not np.all(np.isfinite(cost)):
         raise AssertionError("free cells unreachable; GridMap invariant violated")
     return CostMatrix(n, cost)
 
 
 def tour_length(costs: CostMatrix, order) -> float:
-    c = costs.cost
-    return float(sum(c[order[k], order[k + 1]] for k in range(len(order) - 1)))
+    """Summed cost of consecutive slots, added left to right (sum() on
+    Python floats compensates its rounding from Python 3.12 on)."""
+    o = np.asarray(order)
+    return functools.reduce(operator.add, costs.cost[o[:-1], o[1:]].tolist(), 0.0)
+
+
+def _ranked_rows(cost: np.ndarray) -> tuple[list, list]:
+    """Each row's slots in ascending cost, equal costs in ascending slot
+    order, and those costs, as lists."""
+    ranks = np.argsort(cost, axis=1, kind="stable")
+    return ranks.tolist(), np.take_along_axis(cost, ranks, axis=1).tolist()
+
+
+def _nearest_neighbor_order(ranked, start: int, rng) -> list:
+    """Greedy nearest-unvisited order from the start slot over _ranked_rows.
+
+    Each slot is the current one once, so each step scans its row from
+    rank 0 past the visited slots: the first unvisited one is the lowest
+    slot of the nearest cost. With an rng, the unvisited slots of that
+    cost's run are collected and, when there are several, one is drawn.
+    """
+    ranks, sorted_costs = ranked
+    n = len(ranks)
+    visited = [False] * n
+    visited[start] = True
+    order = [start]
+    cur = start
+    for _ in range(n - 1):
+        row = ranks[cur]
+        k = 0
+        while visited[row[k]]:
+            k += 1
+        nxt = row[k]
+        if rng is not None:
+            costs = sorted_costs[cur]
+            best = costs[k]
+            ties = [nxt]
+            for k in range(k + 1, n):
+                if costs[k] != best:
+                    break
+                if not visited[row[k]]:
+                    ties.append(row[k])
+            if len(ties) > 1:
+                nxt = ties[rng.integers(len(ties))]
+        visited[nxt] = True
+        order.append(nxt)
+        cur = nxt
+    return order
 
 
 def nearest_neighbor_tour(costs: CostMatrix, start: int, rng=None) -> Tour:
@@ -65,21 +114,7 @@ def nearest_neighbor_tour(costs: CostMatrix, start: int, rng=None) -> Tour:
     Exact cost ties resolve to the lowest slot index; with an rng, tied
     picks are drawn from it instead.
     """
-    n = costs.n
-    cost = costs.cost
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    order = [start]
-    for _ in range(n - 1):
-        row = np.where(visited, np.inf, cost[order[-1]])
-        best = row.min()
-        ties = np.flatnonzero(row == best)
-        if len(ties) > 1 and rng is not None:
-            nxt = int(ties[rng.integers(len(ties))])
-        else:
-            nxt = int(ties[0])
-        visited[nxt] = True
-        order.append(nxt)
+    order = _nearest_neighbor_order(_ranked_rows(costs.cost), start, rng)
     return Tour(tuple(order), tour_length(costs, order))
 
 
@@ -139,17 +174,19 @@ def two_opt(costs: CostMatrix, start: int = 0) -> Tour:
     2-opt basin the descent lands in), so the tour is deterministic. A
     single node gives the tour (start,) of length 0.
 
+    The constructions share one ranking of each cost row (_ranked_rows).
     Each scan of a descent is one numpy delta matrix over every reversal
     (_two_opt_descent), with the floats and moves of a scalar
     first-improvement loop; tests/test_oracle.py pins the tours of the
     benchmark's map sets.
     """
     cost = costs.cost
+    ranked = _ranked_rows(cost)
     best_order = None
     best_len = np.inf
     for r in range(TWO_OPT_RESTARTS):
         rng = None if r == 0 else np.random.default_rng([TWO_OPT_SEED, r])
-        order = _two_opt_descent(list(nearest_neighbor_tour(costs, start, rng).order), cost)
+        order = _two_opt_descent(_nearest_neighbor_order(ranked, start, rng), cost)
         length = tour_length(costs, order)
         if length < best_len - 1e-9:
             best_len = length
@@ -226,16 +263,33 @@ def labels_from_text(text: str, connectivity: int = 4) -> tuple[str, list[tuple[
     return head[2], pairs
 
 
-def _check_label_pairs(pairs, n_free: int, source: str) -> None:
-    """Label pairs of a tour over n_free slots: exactly n_free - 1 distinct
-    pairs i < j, every index in [0, n_free). Any defect is a ParseError."""
+def _check_label_pairs(pairs, n_free: int, start: int, source: str) -> None:
+    """Label pairs of a tour over n_free slots from the start slot: exactly
+    n_free - 1 distinct pairs i < j, every index in [0, n_free), that form
+    one open path over every slot with the start at one end. Any defect is
+    a ParseError."""
     if len(pairs) != n_free - 1:
         raise ParseError(f"{source}: {len(pairs)} pairs for {n_free} free cells")
     if len(set(pairs)) != len(pairs):
         raise ParseError(f"{source}: duplicate pair")
+    neighbours = [[] for _ in range(n_free)]
     for i, j in pairs:
         if not 0 <= i < j < n_free:
             raise ParseError(f"{source}: pair {i} {j} breaks 0 <= i < j < {n_free}")
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    if n_free > 1 and len(neighbours[start]) != 1:
+        raise ParseError(f"{source}: start slot {start} is not an end of the labelled path")
+    # walk the path from the start until it ends or branches
+    prev, cur, walked = -1, start, 1
+    while True:
+        nxt = [k for k in neighbours[cur] if k != prev]
+        if len(nxt) != 1:
+            break
+        prev, cur = cur, nxt[0]
+        walked += 1
+    if walked != n_free:
+        raise ParseError(f"{source}: pairs do not form one path over all {n_free} slots")
 
 
 def pairs_to_matrix(pairs, n_max: int) -> np.ndarray:
@@ -267,7 +321,7 @@ class LabelCache:
                 stored_hash, pairs = labels_from_text(read_text(path), self.connectivity)
                 if stored_hash != key:
                     raise ParseError(f"label cache {path} keyed for {stored_hash}, not {key}")
-                _check_label_pairs(pairs, grid.n_free, f"label cache {path}")
+                _check_label_pairs(pairs, grid.n_free, grid.start_slot, f"label cache {path}")
                 self._memory[key] = pairs
                 return pairs
         costs = cost_matrix(grid, self.connectivity)

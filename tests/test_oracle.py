@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from cppnet import oracle
 from cppnet.errors import FormatVersionMismatch, ParseError, TooLarge
@@ -20,8 +22,15 @@ from cppnet.oracle import (
     tour_length,
     two_opt,
     Tour,
+    CostMatrix,
 )
-from cppnet.scenario import GridMap, dataset_build, generate_scenario, scenario_from_text
+from cppnet.scenario import (
+    GridMap,
+    dataset_build,
+    free_cell_edges,
+    generate_scenario,
+    scenario_from_text,
+)
 
 from conftest import bfs_distances, exhaustive_best_open_path
 from test_scenario import GOLDEN_SETS
@@ -76,6 +85,120 @@ def test_cost_matrix_symmetric():
     grid = generate_scenario(5, 5, 1.0, 0.25, seed=9)
     costs = cost_matrix(grid)
     assert np.allclose(costs.cost, costs.cost.T)
+
+
+def reference_cost_matrix(grid, connectivity):
+    """The edge list through a COO matrix and an undirected Dijkstra, as
+    cost_matrix was built before it read the sorted edge list as CSR."""
+    n = grid.n_free
+    i, j, length = free_cell_edges(grid, connectivity)
+    return dijkstra(csr_matrix((length, (i, j)), shape=(n, n)), directed=False)
+
+
+def reference_nearest_neighbor_tour(costs, start, rng=None):
+    """The whole-row scan that the ranked construction replaced: each step
+    masks the visited slots of the current row and takes its cheapest."""
+    cost = costs.cost
+    visited = np.zeros(costs.n, dtype=bool)
+    visited[start] = True
+    order = [start]
+    for _ in range(costs.n - 1):
+        row = np.where(visited, np.inf, cost[order[-1]])
+        best = row.min()
+        ties = np.flatnonzero(row == best)
+        if len(ties) > 1 and rng is not None:
+            nxt = int(ties[rng.integers(len(ties))])
+        else:
+            nxt = int(ties[0])
+        visited[nxt] = True
+        order.append(nxt)
+    length = float(sum(cost[order[k], order[k + 1]] for k in range(len(order) - 1)))
+    return Tour(tuple(order), length)
+
+
+def random_maps(connectivity, cell_size, count=30):
+    """Seeded maps of 2x2 to 10x10 cells at obstacle densities up to 0.5."""
+    rng = np.random.default_rng([connectivity, int(cell_size * 10)])
+    for _ in range(count):
+        rows, cols = (int(x) for x in rng.integers(2, 11, size=2))
+        yield generate_scenario(rows, cols, cell_size, float(rng.uniform(0.0, 0.5)),
+                                seed=int(rng.integers(2**31)), connectivity=connectivity)
+
+
+class DrawLog:
+    """A seeded numpy Generator that logs the bound of every integers draw
+    (integers(1) consumes no bits, so the state alone cannot show it)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bounds = []
+
+    def integers(self, bound):
+        self.bounds.append(bound)
+        return self.rng.integers(bound)
+
+
+MAP_KINDS = pytest.mark.parametrize("connectivity, cell_size", [(4, 1.0), (8, 1.0), (4, 0.3), (8, 0.3)])
+
+
+@MAP_KINDS
+def test_cost_matrix_matches_reference(connectivity, cell_size):
+    for grid in random_maps(connectivity, cell_size):
+        cost = cost_matrix(grid, connectivity).cost
+        assert cost.tobytes() == reference_cost_matrix(grid, connectivity).tobytes()
+
+
+@MAP_KINDS
+def test_nearest_neighbor_matches_reference(connectivity, cell_size):
+    # equal orders and lengths, and the same draws in number and in bound
+    for k, grid in enumerate(random_maps(connectivity, cell_size)):
+        costs = cost_matrix(grid, connectivity)
+        for start in {grid.start_slot, k % costs.n}:
+            assert nearest_neighbor_tour(costs, start) == reference_nearest_neighbor_tour(costs, start)
+            for r in range(1, 4):
+                rng, twin = DrawLog([k, r]), DrawLog([k, r])
+                tour = nearest_neighbor_tour(costs, start, rng)
+                assert tour == reference_nearest_neighbor_tour(costs, start, twin)
+                assert rng.bounds == twin.bounds
+                assert rng.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+def hub_costs(n):
+    """Slot 0 at cost 1 from every other slot, which are at cost 2 from each other."""
+    cost = np.full((n, n), 2.0)
+    cost[0, :] = cost[:, 0] = 1.0
+    np.fill_diagonal(cost, 0.0)
+    return CostMatrix(n, cost)
+
+
+def test_nearest_neighbor_tie_run_skips_visited_slots():
+    # 3 -> 0, then from 0 the run of cost 1 is slots 1 2 3 4 with 3 visited
+    costs = hub_costs(5)
+    assert nearest_neighbor_tour(costs, 3).order == (3, 0, 1, 2, 4)
+    for seed in range(8):
+        rng = DrawLog(seed)
+        order = nearest_neighbor_tour(costs, 3, rng).order
+        assert order[2] == (1, 2, 4)[np.random.default_rng(seed).integers(3)]
+        assert rng.bounds[0] == 3
+        twin = DrawLog(seed)
+        assert order == reference_nearest_neighbor_tour(costs, 3, twin).order
+        assert rng.bounds == twin.bounds
+        assert rng.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+def test_nearest_neighbor_lone_unvisited_tie_draws_nothing():
+    # 1 -> 0, then from 0 the run of cost 1 is slots 1 2 with 1 visited
+    rng = DrawLog(0)
+    assert nearest_neighbor_tour(hub_costs(3), 1, rng) == Tour((1, 0, 2), 2.0)
+    assert rng.bounds == []
+
+
+@pytest.mark.parametrize("n, start, expected", [(1, 0, Tour((0,), 0.0)), (2, 1, Tour((1, 0), 1.0))])
+def test_nearest_neighbor_one_and_two_slots(n, start, expected):
+    rng = DrawLog(0)
+    assert nearest_neighbor_tour(hub_costs(n), start) == expected
+    assert nearest_neighbor_tour(hub_costs(n), start, rng) == expected
+    assert rng.bounds == []
 
 
 def test_corridor_sweep_is_unique_optimum():
@@ -417,21 +540,33 @@ def _unused_pair(pairs, n):
     return next(p for p in itertools.combinations(range(n), 2) if p not in pairs)
 
 
+def _cycle_plus_path(n, start):
+    """n - 1 pairs: a 3-cycle on the three highest slots but the start, and
+    a path from the start over the rest."""
+    cycle = [k for k in range(n) if k != start][-3:]
+    path = [start] + [k for k in range(n) if k != start and k not in cycle]
+    edges = list(zip(path, path[1:])) + list(zip(cycle, cycle[1:] + cycle[:1]))
+    return sorted(tuple(sorted(e)) for e in edges)
+
+
 @pytest.mark.parametrize("edit", [
-    lambda pairs, n: pairs[:-1] + [(0, 500)],
-    lambda pairs, n: pairs[:-1] + [(-1, 3)],
-    lambda pairs, n: pairs[:-1] + [pairs[-1][::-1]],
-    lambda pairs, n: pairs[:-1] + [(2, 2)],
-    lambda pairs, n: pairs[:-1] + [pairs[0]],
-    lambda pairs, n: pairs[:-1],
-    lambda pairs, n: pairs + [_unused_pair(pairs, n)],
+    lambda pairs, n, start: pairs[:-1] + [(0, 500)],
+    lambda pairs, n, start: pairs[:-1] + [(-1, 3)],
+    lambda pairs, n, start: pairs[:-1] + [pairs[-1][::-1]],
+    lambda pairs, n, start: pairs[:-1] + [(2, 2)],
+    lambda pairs, n, start: pairs[:-1] + [pairs[0]],
+    lambda pairs, n, start: pairs[:-1],
+    lambda pairs, n, start: pairs + [_unused_pair(pairs, n)],
+    lambda pairs, n, start: sorted(tuple(sorted((start, k))) for k in range(n) if k != start),
+    lambda pairs, n, start: _cycle_plus_path(n, start),
 ], ids=["index-past-n_free", "negative-index", "i-after-j", "i-equals-j",
-        "duplicate", "too-few", "too-many"])
+        "duplicate", "too-few", "too-many", "star", "cycle-plus-path"])
 def test_label_cache_rejects_bad_pairs(tmp_path, edit):
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
     pairs = LabelCache(tmp_path).pairs_for(grid)
     path = tmp_path / f"{grid.content_hash()}.labels"
-    path.write_text(labels_to_text(grid.content_hash(), edit(pairs, grid.n_free)))
+    bad = edit(pairs, grid.n_free, grid.start_slot)
+    path.write_text(labels_to_text(grid.content_hash(), bad))
     with pytest.raises(ParseError):
         LabelCache(tmp_path).pairs_for(grid)
 
