@@ -126,26 +126,24 @@ def _record_from_row(line: str) -> BenchRecord:
     return BenchRecord(key, values[0], method, values[1], values[2])
 
 
-def _parse_records(text: str) -> tuple[str | None, list[BenchRecord]]:
-    """The model sha256 of a v2 file (None for a v1 file, which names no
-    model) and the records, each (scenario, method) at most once."""
-    lines = text.splitlines()
-    model = None
-    if lines and lines[0].split()[:2] == RECORDS_HEADER.split():
-        parts = lines[0].split()
-        if len(parts) != 4 or parts[2] != "model_sha256" or not SHA256_HEX.fullmatch(parts[3]):
-            raise ParseError(f"bad records header: {lines[0]!r}")
-        model, lines = parts[3], lines[1:]
-    if not lines or lines[0] != RECORDS_CSV_HEADER:
+def _parse_records(text: str) -> tuple[str, list[BenchRecord]]:
+    """The model sha256 the file names and its records, each (scenario,
+    method) at most once."""
+    lines = text.splitlines() or [""]
+    parts = lines[0].split()
+    want = RECORDS_HEADER.split() + ["model_sha256"]
+    if parts[:3] != want or len(parts) != 4 or not SHA256_HEX.fullmatch(parts[3]):
+        raise ParseError(f"bad records header (need {RECORDS_HEADER} model_sha256 <sha256>): "
+                         f"{lines[0]!r}")
+    if len(lines) < 2 or lines[1] != RECORDS_CSV_HEADER:
         raise ParseError("bad records CSV header")
-    records = [_record_from_row(line) for line in lines[1:] if line.strip()]
+    records = [_record_from_row(line) for line in lines[2:] if line.strip()]
     if len({(r.scenario_hash, r.method) for r in records}) != len(records):
         raise ParseError("records name a (scenario, method) pair twice")
-    return model, records
+    return parts[3], records
 
 
 def records_from_csv(text: str) -> list[BenchRecord]:
-    """Records of a v2 or a v1 file."""
     return _parse_records(text)[1]
 
 
@@ -158,13 +156,10 @@ def load_records(path) -> list[BenchRecord]:
 
 
 def resume_records(path, model_sha256: str) -> list[BenchRecord]:
-    """The records of an earlier sweep with the same checkpoint. A v1 file
-    names no model and a v2 file of another checkpoint would pass its
-    lengths and times off as this one's, so both are refused."""
+    """The records of an earlier sweep with the same checkpoint. A file of
+    another checkpoint would pass its lengths and times off as this one's,
+    so it is refused."""
     model, records = _parse_records(read_text(path))
-    if model is None:
-        raise ParseError(f"{path} is a v1 records file and names no model; "
-                         "refusing to resume it")
     if model != model_sha256:
         raise ParseError(f"{path} holds records of checkpoint sha256 {model}, "
                          f"not {model_sha256}; refusing to resume it")

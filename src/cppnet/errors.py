@@ -47,7 +47,3 @@ class EmptyEvalSet(CppnetError, ValueError):
 
 class EmptyRecords(CppnetError, ValueError):
     """Summary statistics requested over zero records."""
-
-
-class CheckpointWriteFailure(CppnetError, OSError):
-    """Checkpoint could not be written."""

@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import (
     CacheConsumed,
-    CheckpointWriteFailure,
     DegenerateBatch,
     FormatVersionMismatch,
     NonFiniteActivation,
@@ -754,10 +753,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         chunks.append(f"tensor {name} {arr.dtype.str} {shape} {len(raw)}\n".encode())
         chunks.append(raw)
         chunks.append(b"\n")
-    try:
-        atomic_write_bytes(path, b"".join(chunks))
-    except OSError as exc:
-        raise CheckpointWriteFailure(str(exc)) from exc
+    atomic_write_bytes(path, b"".join(chunks))
 
 
 def field_kinds(config_class) -> dict:

@@ -242,11 +242,10 @@ def labels_from_text(text: str, connectivity: int = 4) -> tuple[str, list[tuple[
     if not lines:
         raise ParseError("empty labels file")
     head = lines[0].split()
-    if head[:2] == ["cpp-labels", "v1"] and len(head) == 3:  # made under the defaults
-        head = LABELS_HEADER.split() + head[2:] + _settings(4)
     want = _settings(connectivity)
     if " ".join(head[:2]) != LABELS_HEADER or len(head) != 9 or head[3::2] != want[::2]:
-        raise FormatVersionMismatch(f"bad labels header: {lines[0]!r}")
+        raise FormatVersionMismatch(f"bad labels header: {lines[0]!r} (only {LABELS_HEADER} "
+                                    "is read; delete the file to relabel its map)")
     if head[3:] != want:
         raise ParseError(f"labels made with {' '.join(head[3:])}, not {' '.join(want)}")
     pairs = []
@@ -315,25 +314,18 @@ class LabelCache:
         key = grid.content_hash()
         if key in self._memory:
             return self._memory[key]
-        if self.cache_dir is not None:
-            path = self._path(key)
-            if path.is_file():
+        path = self._path(key) if self.cache_dir is not None else None
+        if path is not None and path.is_file():
+            try:
                 stored_hash, pairs = labels_from_text(read_text(path), self.connectivity)
-                if stored_hash != key:
-                    raise ParseError(f"label cache {path} keyed for {stored_hash}, not {key}")
-                _check_label_pairs(pairs, grid.n_free, grid.start_slot, f"label cache {path}")
-                self._memory[key] = pairs
-                return pairs
-        costs = cost_matrix(grid, self.connectivity)
-        tour = two_opt(costs, grid.start_slot)
-        pairs = label_pairs(tour)
-        self.store(grid, pairs)
-        return pairs
-
-    def store(self, grid: GridMap, pairs) -> None:
-        key = grid.content_hash()
-        self._memory[key] = pairs
-        if self.cache_dir is not None:
-            path = self._path(key)
-            if not path.is_file():
+            except FormatVersionMismatch as exc:
+                raise FormatVersionMismatch(f"label cache {path}: {exc}") from exc
+            if stored_hash != key:
+                raise ParseError(f"label cache {path} keyed for {stored_hash}, not {key}")
+            _check_label_pairs(pairs, grid.n_free, grid.start_slot, f"label cache {path}")
+        else:
+            pairs = label_pairs(two_opt(cost_matrix(grid, self.connectivity), grid.start_slot))
+            if path is not None:
                 atomic_write_text(path, labels_to_text(key, pairs, self.connectivity))
+        self._memory[key] = pairs
+        return pairs

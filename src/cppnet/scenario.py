@@ -415,7 +415,18 @@ def scenario_from_text(text: str) -> GridMap:
 
 
 def save_scenarios(sset: ScenarioSet, path) -> None:
-    """Write one scenario file per map plus a manifest into a directory."""
+    """Write one scenario file per map plus a manifest into a directory.
+
+    Every map is first checked under 4-connectivity, as scenario_from_text
+    reads it back, so a set that load_scenarios would refuse (an 8-connected
+    build) raises ValueError before any file is written.
+    """
+    for i, grid in enumerate(sset.scenarios):
+        try:
+            grid.validate(connectivity=4)
+        except ValueError as exc:
+            raise ValueError(f"scenario {i}: {exc} under 4-connectivity, "
+                             "which scenario files are read with") from exc
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest = [f"{MANIFEST_HEADER} {sset.seed}"]

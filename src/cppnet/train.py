@@ -3,11 +3,10 @@
 Labels come from the 2-opt oracle, cached by scenario content hash so the
 solver runs once per map across experiments. Batch order is a
 deterministic per-epoch shuffle of the master seed, so identical
-configurations reproduce identical loss curves in serial mode.
+configurations reproduce identical loss curves.
 """
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,29 +100,8 @@ class Adam:
             arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("CPPNET_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def prepare_labels(scenarios: list[GridMap], cache: LabelCache) -> list[list[tuple[int, int]]]:
-    """Label pairs for every scenario, using a process pool when allowed.
-
-    Results are independent of scheduling because each scenario's tour
-    depends only on its own content and the cache seed. CPPNET_THREADS
-    caps the worker count.
-    """
-    workers = _worker_count()
-    if workers > 1 and len(scenarios) > 16:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_pairs = list(pool.map(cache.pairs_for, scenarios, chunksize=8))
-        for grid, pairs in zip(scenarios, all_pairs):
-            cache.store(grid, pairs)
-        return all_pairs
+    """Label pairs for every scenario, one after another in this process."""
     return [cache.pairs_for(g) for g in scenarios]
 
 

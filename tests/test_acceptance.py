@@ -1,11 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The desk-scale training
-fixture (criteria 4-6) takes on the order of ten minutes; everything else
-is fast. Criterion 6 documents a known negative result: with the pinned
-baseline design (precomputed cost matrix + nearest-neighbor init +
-first-improvement 2-opt) the baseline converges in tens of milliseconds
-on 10x10 maps, so the tenfold speed advantage over it is not attainable;
+fixture (criteria 4-6) takes about a minute; everything else is fast.
+Criterion 6 documents a known negative result: with the pinned baseline
+design (precomputed cost matrix + nearest-neighbor init +
+first-improvement 2-opt) the baseline converges in about 5 ms on 10x10
+maps, so the tenfold speed advantage over it is not attainable;
 the measured distribution is printed either way.
 """
 

@@ -74,10 +74,11 @@ def test_records_csv_rejects_garbage():
 
 
 def test_records_v1_is_read_but_never_resumed(tmp_path):
-    # a v1 file names no model: plotting it is fine, resuming it is not
+    # a file without the v2 header line names no model: neither reader takes it
     (tmp_path / "v1.csv").write_text("\n".join(ROWS) + "\n")
-    assert [r.method for r in load_records(tmp_path / "v1.csv")] == ["two_opt", "learned"]
-    with pytest.raises(ParseError, match="v1"):
+    with pytest.raises(ParseError, match="bad records header"):
+        load_records(tmp_path / "v1.csv")
+    with pytest.raises(ParseError, match="bad records header"):
         resume_records(tmp_path / "v1.csv", MODEL_A)
 
 
@@ -115,8 +116,6 @@ def test_records_reject_bad_rows(row):
     text = "\n".join([f"cpp-bench-records v2 model_sha256 {MODEL_A}"] + ROWS + [row]) + "\n"
     with pytest.raises(ParseError):
         records_from_csv(text)
-    with pytest.raises(ParseError):                           # v1 files too
-        records_from_csv("\n".join(ROWS + [row]) + "\n")
 
 
 def test_run_benchmark_produces_both_methods():

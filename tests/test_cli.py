@@ -297,12 +297,17 @@ def test_bench_resumes_only_its_own_checkpoints_records(tmp_path, capsys):
     assert bench(models[1], records) == 2
     assert "refusing to resume" in capsys.readouterr().err
     assert records.read_text() == first
-    # a v1 file names no checkpoint: plotted, never resumed
+    # without its header line the file names no checkpoint: it is neither
+    # resumed nor plotted, and it is left as it was
     v1 = tmp_path / "v1.csv"
-    v1.write_text("\n".join(first.splitlines()[1:]) + "\n")
+    headerless = "\n".join(first.splitlines()[1:]) + "\n"
+    v1.write_text(headerless)
     assert bench(models[0], v1) == 2
-    assert "v1" in capsys.readouterr().err
-    assert run("plot", "--records", str(v1), "--out", str(tmp_path / "v1.svg")) == 0
+    assert "bad records header" in capsys.readouterr().err
+    assert run("plot", "--records", str(v1), "--out", str(tmp_path / "v1.svg")) == 2
+    assert "bad records header" in capsys.readouterr().err
+    assert not (tmp_path / "v1.svg").exists()
+    assert v1.read_text() == headerless
 
 
 def test_bench_reports_failed_scenarios(tmp_path, capsys):
@@ -332,7 +337,8 @@ def test_bench_reports_failed_scenarios(tmp_path, capsys):
                                  "a1,0.1,greedy,12.5,0.003"])
 def test_plot_rejects_bad_records(tmp_path, capsys, row):
     records = tmp_path / "records.csv"
-    records.write_text(f"scenario_hash,density,method,length_m,wall_time_s\n{row}\n")
+    records.write_text(f"cpp-bench-records v2 model_sha256 {'a' * 64}\n"
+                       f"scenario_hash,density,method,length_m,wall_time_s\n{row}\n")
     assert run("plot", "--records", str(records), "--out", str(tmp_path / "box.svg")) == 2
     assert "records row" in capsys.readouterr().err
     assert not (tmp_path / "box.svg").exists()

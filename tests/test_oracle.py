@@ -504,26 +504,26 @@ def test_label_file_of_other_restarts_refused():
 
 
 @pytest.mark.parametrize("head, connectivity, refused", [
-    ("cpp-labels v1 {hash}", 4, None),
-    ("cpp-labels v2 {hash} seed 1 connectivity 4 restarts 8", 4, "seed 1 connectivity 4"),
-    ("cpp-labels v1 {hash}", 8, "seed 0 connectivity 4"),
+    ("cpp-labels v1 {hash}", 4, FormatVersionMismatch),
+    ("cpp-labels v2 {hash} seed 1 connectivity 4 restarts 8", 4, ParseError),
+    ("cpp-labels v1 {hash}", 8, FormatVersionMismatch),
 ], ids=["defaults", "seed", "connectivity"])
 def test_label_cache_reads_v1_only_under_its_settings(tmp_path, head, connectivity, refused):
-    # a v1 file names no settings; it was written with seed 0,
-    # 4-connectivity and 8 restarts, so it reads as the v2 file naming
-    # them, and its pairs under a header naming seed 1 are refused
+    # a v1 file names no settings, so it is refused whatever the cache's
+    # settings, and the file is left for its owner to delete
     grid = generate_scenario(5, 5, 1.0, 0.2, seed=2)
     pairs = label_pairs(two_opt(cost_matrix(grid), grid.start_slot))
     path = tmp_path / f"{grid.content_hash()}.labels"
-    head = head.format(hash=grid.content_hash())
-    path.write_text(head + "\n" + "".join(f"{i} {j}\n" for i, j in pairs))
+    text = head.format(hash=grid.content_hash()) + "\n" + "".join(f"{i} {j}\n" for i, j in pairs)
+    path.write_text(text)
     cache = LabelCache(tmp_path, connectivity=connectivity)
-    if refused:
-        with pytest.raises(ParseError, match=f"labels made with {refused}"):
-            cache.pairs_for(grid)
+    with pytest.raises(refused) as info:
+        cache.pairs_for(grid)
+    if refused is FormatVersionMismatch:
+        assert str(path) in str(info.value) and "delete the file" in str(info.value)
     else:
-        assert cache.pairs_for(grid) == pairs
-    assert path.read_text().startswith(head + "\n")
+        assert type(info.value) is ParseError
+    assert path.read_text() == text
 
 
 @pytest.mark.parametrize("head", [
@@ -572,8 +572,8 @@ def test_label_cache_rejects_bad_pairs(tmp_path, edit):
 
 
 def test_label_file_non_integer_pair():
-    with pytest.raises(ParseError):
-        labels_from_text("cpp-labels v1 deadbeef\n0 x\n")
+    with pytest.raises(ParseError, match="bad label pair line: '0 x'"):
+        labels_from_text("cpp-labels v2 deadbeef seed 0 connectivity 4 restarts 8\n0 x\n")
 
 
 def test_labels_match_tour_consecutive_pairs():

@@ -284,6 +284,16 @@ def test_roundtrip_bytes_stable(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+def test_save_refuses_a_set_that_load_would_refuse(tmp_path):
+    # an 8-connected build need not be 4-connected, and files are read under 4
+    sset = dataset_build(4, 6, 6, 1.0, (0.4, 0.5), (0.5, 0.25, 0.25), seed=0, connectivity=8)
+    out = tmp_path / "set"
+    out.mkdir()
+    with pytest.raises(ValueError, match="scenario 0: free cells are not a single connected"):
+        save_scenarios(sset, out)
+    assert list(out.iterdir()) == []
+
+
 def test_truncated_scenario_rejected(tmp_path):
     grid = generate_scenario(6, 6, 1.0, 0.2, seed=0)
     text = grid.to_text()

@@ -22,6 +22,7 @@ from cppnet.train import (
     train,
 )
 
+import cppnet.oracle as oracle
 import cppnet.train as train_mod
 
 
@@ -183,6 +184,24 @@ def test_label_cache_shared_across_runs(tmp_path):
     train(sset, config, tiny_model_config(), label_cache_dir=tmp_path)
     after = {f.name: f.read_bytes() for f in tmp_path.glob("*.labels")}
     assert before == after
+
+
+def test_prepare_labels_fills_the_cache_in_order(tmp_path, monkeypatch):
+    # 20 maps, one of them twice: the size of one training batch
+    maps = dataset_build(19, 5, 5, 1.0, (0.0, 0.3), (1.0, 0.0, 0.0), seed=8).scenarios
+    maps = maps + [maps[3]]
+    pairs = train_mod.prepare_labels(maps, LabelCache(tmp_path))
+    reference = LabelCache(None)
+    assert pairs == [reference.pairs_for(g) for g in maps]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{h}.labels" for h in {g.content_hash() for g in maps})
+
+    def no_solver(*args):
+        raise AssertionError("label cache missed")
+
+    monkeypatch.setattr(oracle, "two_opt", no_solver)
+    fresh = LabelCache(tmp_path)
+    assert [fresh.pairs_for(g) for g in maps] == pairs
 
 
 def test_parse_config_defaults_match_paper():
