@@ -19,13 +19,17 @@ Conventions:
     owning n_b node rows and its (n_b, n_b) edge block. Padding slots are
     never computed; their heat is 0.
   - In training mode, batch-norm statistics are pooled over all blocks:
-    over real nodes and over real ordered pairs (i != j), summed over
-    cache-sized edge tiles. The cache holds, per conv layer, the centred
-    edge pre-activations t_c and the edge ReLU mask, and the (P, h) input
-    of every layer but the first: that one is the (A, h) adjacency
-    embedding, and each pair tile of it is embedded where it is read. The
-    final edge rows stay for the MLP backward, which computes each tile's
-    hidden rows again and writes the edge gradient over those rows.
+    over real nodes and over real ordered pairs (i != j). The first conv
+    layer is computed in closed form (FirstEdges): its input rows are the
+    bias row but on the adjacency, so its centred edge pre-activation is
+    u_i + r_j, plus d_q on adjacency row q, and its statistics and
+    gradients follow from per-block node sums; it keeps no (P, h) array,
+    and the second layer builds each tile of its input where it reads it.
+    Every later layer sums cache-sized edge tiles, and the cache holds,
+    per such layer, the centred edge pre-activations t_c, the edge ReLU
+    mask and its output rows, the next layer's input. The final edge rows
+    stay for the MLP backward, which computes each tile's hidden rows
+    again and writes the edge gradient over those rows.
   - In eval mode the forward is depth-first and holds no (P, h) array: the
     conv layers run on the (A, h) adjacency rows only, which are all the
     node features read, and keep their folded edge terms (the last layer
@@ -308,23 +312,36 @@ def _adjacency_embedding(batch: GraphBatch, params: ModelParams):
     return np.concatenate([steps, np.broadcast_to(params.indicator_weight, steps.shape)], axis=1)
 
 
+def _pair_bias(params: ModelParams):
+    """The input embedding of every pair off the adjacency, the diagonal
+    (i, i) included: step length 0 and indicator 0, the bias alone."""
+    return np.concatenate([params.dist_bias, np.zeros_like(params.dist_bias)])
+
+
+def _tile_adjacency(tile_nodes, rows, batch: GraphBatch):
+    """The adjacency entries of an edge tile from _edge_tiles: their run of
+    adj_idx and their rows in the tile. The adjacency is sorted by source
+    node row, so a tile's edges are a run."""
+    edge, src, _ = batch.adj_idx
+    lo, hi = np.searchsorted(src, (tile_nodes.start, tile_nodes.stop))
+    return slice(lo, hi), edge[lo:hi] - rows.start
+
+
 def _embed_tile(tile, tile_nodes, rows, adj_rows, batch: GraphBatch, params: ModelParams):
     """Fill an edge tile from _edge_tiles with its input embedding, taking
-    its adjacency rows from adj_rows. Every other row, the diagonal (i, i)
-    included, has step length 0 and indicator 0: the bias alone."""
+    its adjacency rows from adj_rows and every other row from _pair_bias."""
     # whole rows: two half-row fills took 1.6x as long on a training batch
-    tile[...] = np.concatenate([params.dist_bias, np.zeros_like(params.dist_bias)])
-    edge, src, _ = batch.adj_idx
-    # the adjacency is sorted by source node row, so the tile's edges are a run
-    lo, hi = np.searchsorted(src, (tile_nodes.start, tile_nodes.stop))
-    tile[edge[lo:hi] - rows.start] = adj_rows[lo:hi]
+    tile[...] = _pair_bias(params)
+    run, local = _tile_adjacency(tile_nodes, rows, batch)
+    tile[local] = adj_rows[run]
 
 
 def embed_input(batch: GraphBatch, params: ModelParams):
     """Linear embeddings of node coordinates and (step length, indicator)
     edges: the (N, h) node rows and the (A, h) edge rows of the adjacency,
-    in adj_idx order. Every other pair row embeds the bias alone; the layers
-    that read those rows embed them tile by tile (_embed_tile)."""
+    in adj_idx order. Every other pair row embeds the bias alone
+    (_pair_bias), which the eval head embeds tile by tile (_embed_tile)
+    and the first training layer takes in closed form."""
     h = params.config.hidden
     if params.node_weight.shape != (h, 2):
         raise ShapeMismatch(f"node weight shape {params.node_weight.shape} != ({h}, 2)")
@@ -370,15 +387,117 @@ def _tile_buffers(batch: GraphBatch, count: int, h: int, dtype):
     return np.empty((count, min(batch.n_pairs, max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
 
 
-def _input_tile(e, tile_nodes, rows, buf, batch: GraphBatch, embed_params):
+@dataclass(frozen=True, eq=False)
+class FirstEdges:
+    """The (P, h) output edge rows of the first training conv layer, held in
+    closed form. That layer's input rows are base but on the adjacency,
+    where row q is base + lift_q, so its centred edge pre-activation of pair
+    (i, j) is u_i + r_j, plus d_q on adjacency row q, and its output row is
+    the input row plus relu(k * (u_i + r_j [+ d_q]) + beta). The layer that
+    reads these rows builds each tile where it reads it (_input_tile)."""
+
+    u: np.ndarray      # (N, h) source terms, centred over the pairs
+    r: np.ndarray      # (N, h) target terms, centred over the pairs
+    d: np.ndarray      # (A, h) adjacency terms, in adj_idx order
+    k: np.ndarray      # (h,) batch-norm scale gamma / sqrt(var + eps)
+    beta: np.ndarray   # (h,) batch-norm shift
+    base: np.ndarray   # (h,) input row of every pair off the adjacency
+    lift: np.ndarray   # (A, h) adjacency input rows minus base
+
+
+def _first_preactivation(first: FirstEdges, tile, tile_nodes, nodes, rows, batch: GraphBatch):
+    """Write the centred pre-activations of an edge tile from _edge_tiles
+    into tile; returns the tile's adjacency entries (_tile_adjacency)."""
+    block = tile.reshape(tile_nodes.stop - tile_nodes.start, -1, tile.shape[1])
+    np.add(first.u[tile_nodes, None], first.r[None, nodes], out=block)
+    run, local = _tile_adjacency(tile_nodes, rows, batch)
+    tile[local] += first.d[run]
+    return run, local
+
+
+def _first_output(first: FirstEdges, t, run, local):
+    """Turn centred pre-activation rows t, whose adjacency entries run sit
+    at rows local, into the output rows, in place; an overflow raises
+    NonFiniteActivation."""
+    try:
+        with np.errstate(over="raise"):
+            t *= first.k
+            t += first.beta
+            np.maximum(t, 0.0, out=t)
+            t += first.base
+            t[local] += first.lift[run]
+    except FloatingPointError as exc:
+        raise NonFiniteActivation(f"conv layer edge update: {exc}") from exc
+    return t
+
+
+def _input_tile(e, tile_nodes, nodes, rows, out, batch: GraphBatch):
     """An edge tile of a training conv layer's (P, h) input: the rows of e,
-    or, for the first layer (embed_params given), the tile embedded into buf
-    from e, the (A, h) adjacency embedding."""
-    if embed_params is None:
+    or, when e is the first layer's FirstEdges, the tile built into out."""
+    if not isinstance(e, FirstEdges):
         return e[rows]
-    tile = buf[: rows.stop - rows.start]
-    _embed_tile(tile, tile_nodes, rows, e, batch, embed_params)
-    return tile
+    run, local = _first_preactivation(e, out, tile_nodes, nodes, rows, batch)
+    return _first_output(e, out, run, local)
+
+
+def _first_rows(first: FirstEdges, batch: GraphBatch):
+    """Every (P, h) row of the first layer's output, tile by tile."""
+    out = np.empty((batch.n_pairs, first.u.shape[1]), dtype=first.u.dtype)
+    for tile_nodes, nodes, rows in _edge_tiles(batch):
+        _input_tile(first, tile_nodes, nodes, rows, out[rows], batch)
+    return out
+
+
+def _adjacent_rows(e, batch: GraphBatch):
+    """The (A, h) adjacency rows of training edge rows: of the (P, h) array
+    e, or of FirstEdges, as its tiles hold them."""
+    edge, src, dst = batch.adj_idx
+    if not isinstance(e, FirstEdges):
+        return e[edge]
+    t = e.u[src] + e.r[dst]
+    t += e.d
+    return _first_output(e, t, slice(None), slice(None))
+
+
+def _node_pairs(batch: GraphBatch, dtype):
+    """Per node row of block b, n_b - 1: its pairs i != j as source, and
+    as target."""
+    sizes = np.array([nb for nb, _, _ in batch.blocks])
+    return np.repeat(sizes - 1, sizes).astype(dtype)[:, None]
+
+
+def _block_sums(values, batch: GraphBatch):
+    """Per node row, the sum of values over the node rows of its block."""
+    sums = np.add.reduceat(values, [nodes.start for _, nodes, _ in batch.blocks], axis=0)
+    return np.repeat(sums, [nb for nb, _, _ in batch.blocks], axis=0)
+
+
+def _first_edge_forward(x, e, layer: ConvLayer, batch: GraphBatch, base, m_e: int):
+    """The first training layer's edge branch in closed form, from its (A, h)
+    adjacency embedding e and base, the input row of every other pair.
+    With each term centred over the m_e pairs, the pre-activation of
+    pair (i, j) less the batch mean is u_i + r_j (+ d_q), so the mean and
+    variance come from sums over the node rows: over the pairs i != j of
+    a block, sum (u_i + r_j)^2 = (n_b - 1)(sum u^2 + sum r^2) + 2 (sum u
+    sum r - sum u_i r_i). Returns FirstEdges, the batch mean and variance."""
+    pairs = _node_pairs(batch, x.dtype)
+    lift = e - base
+    d = lift @ layer.w_edge.T
+    s = x @ layer.w_source.T + base @ layer.w_edge.T
+    r = x @ layer.w_target.T
+    mean_s = (pairs * s).sum(axis=0) / m_e
+    mean_r = (pairs * r).sum(axis=0) / m_e
+    mean_d = d.sum(axis=0) / m_e
+    u = s - (mean_s + mean_d)
+    r -= mean_r
+    _, src, dst = batch.adj_idx
+    squares = ((pairs * (u * u + r * r)).sum(axis=0)
+               + 2 * np.einsum("ij,ij->j", _block_sums(u, batch) - u, r)
+               + np.einsum("ij,ij->j", d, 2 * (u[src] + r[dst]) + d))
+    var_e = squares / m_e
+    bn_e = layer.bn_edge
+    k = bn_e.gamma / np.sqrt(var_e + BN_EPS)
+    return FirstEdges(u, r, d, k, bn_e.beta, base, lift), mean_s + mean_r + mean_d, var_e
 
 
 def _diagonal(tile, tile_nodes, nodes):
@@ -410,30 +529,36 @@ def _edge_update(e, w_edge, source, target, out=None):
     e += t
 
 
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteActivation("non-finite activation in conv layer")
+
+
 def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
-                 fold_only: bool = False, embed_params: ModelParams | None = None):
+                 fold_only: bool = False, base=None):
     """One residual gated graph-convolution layer on (N, h) node rows and
     edge rows: all (P, h) pair rows in training mode, the (A, h) adjacency
-    rows in eval mode. The first training layer passes embed_params, the
-    model's parameters: its e is then embed_input's (A, h) adjacency
-    embedding, and each tile of its (P, h) input is embedded where it is
-    read, here and in conv_backward.
+    rows in eval mode. The first training layer passes base, the input row
+    of every pair off the adjacency (_pair_bias): its e is then
+    embed_input's (A, h) adjacency embedding, and it returns its edge rows
+    in closed form, as FirstEdges, which the next layer takes as its e.
 
     Returns the next node and edge features plus, in training mode, the
-    cache conv_backward reads: the layer inputs, the gate terms, the
-    centred pre-activations, the ReLU masks and the batch variances; a
-    non-finite value raises NonFiniteActivation. In eval mode the adjacency
-    rows are updated in place and returned, and the cache is the layer's
-    folded edge terms (W', s', r'), from which mlp_head builds every pair.
-    An eval layer whose node and adjacency outputs nothing reads (the last
-    one) passes fold_only: it computes only the folded terms and returns x
-    and e as they came.
+    cache conv_backward reads: the node inputs, the gate terms, the
+    centred node pre-activations, the batch variances and, for the edges,
+    the closed form or the layer input, the centred pre-activations and
+    the ReLU mask; a non-finite value raises NonFiniteActivation. In eval
+    mode the adjacency rows are updated in place and returned, and the
+    cache is the layer's folded edge terms (W', s', r'), from which
+    mlp_head builds every pair. An eval layer whose node and adjacency
+    outputs nothing reads (the last one) passes fold_only: it computes
+    only the folded terms and returns x and e as they came.
     """
     if fold_only:
         return x, e, _fold_edge_bn(x, layer)
     if training and not batch.pair_mask.any():
         raise DegenerateBatch("no real pair for the edge batch statistics")
-    adjacent = e[batch.adj_idx[0]] if training and embed_params is None else e
+    adjacent = _adjacent_rows(e, batch) if training and base is None else e
     sg_vals, den, raw, v, agg = _gate_forward(adjacent, x, layer, batch)
 
     s = x @ layer.w_self.T + agg
@@ -448,55 +573,60 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
         _edge_update(e, folded[0], folded[1][src, None], folded[2][dst, None])
         return x_next, e, folded
 
-    # training: t = e W_edge^T + s_i + r_j in three tile sweeps (sum, centred
-    # squares, output); the diagonal (i == j) rows are left out of the sums
-    h = x.shape[1]
     m_e = int(batch.pair_mask.sum())
-    source = x @ layer.w_source.T
-    target = x @ layer.w_target.T
-    t = np.empty((batch.n_pairs, h), dtype=e.dtype)
-    in_buf, = _tile_buffers(batch, 1, h, e.dtype)
-    total = np.zeros(h, dtype=e.dtype)
-    for tile_nodes, nodes, rows in _edge_tiles(batch):
-        e_in = _input_tile(e, tile_nodes, rows, in_buf, batch, embed_params)
-        tile = np.matmul(e_in, layer.w_edge.T, out=t[rows])
-        block = tile.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
-        block += source[tile_nodes, None, :]
-        block += target[None, nodes, :]
-        total += tile.sum(axis=0) - _diagonal(tile, tile_nodes, nodes).sum(axis=0)
-    mu_e = total / m_e
-    squares = np.zeros(h, dtype=e.dtype)
-    for tile_nodes, nodes, rows in _edge_tiles(batch):
-        tile = t[rows]
-        tile -= mu_e
-        diag = _diagonal(tile, tile_nodes, nodes)
-        squares += np.einsum("ij,ij->j", tile, tile) - np.einsum("ij,ij->j", diag, diag)
-    var_e = squares / m_e
     bn_e = layer.bn_edge
-    k = bn_e.gamma / np.sqrt(var_e + BN_EPS)
-    # a non-finite t shows in its sums; past this only an overflow can stop e_next
-    if not all(np.isfinite(a).all() for a in (x_next, mu_e, var_e, k, bn_e.beta)):
-        raise NonFiniteActivation("non-finite activation in conv layer")
-    e_next = np.empty_like(t)
-    relu_e = np.empty(t.shape, dtype=bool)
-    try:
-        with np.errstate(over="raise"):
-            for tile_nodes, _, rows in _edge_tiles(batch):
-                y = np.multiply(t[rows], k, out=e_next[rows])
-                y += bn_e.beta
-                np.greater(y, 0.0, out=relu_e[rows])
-                np.maximum(y, 0.0, out=y)
-                y += _input_tile(e, tile_nodes, rows, in_buf, batch, embed_params)
-    except FloatingPointError as exc:
-        raise NonFiniteActivation(f"conv layer edge update: {exc}") from exc
+    if base is not None:
+        e_next, mu_e, var_e = _first_edge_forward(x, e, layer, batch, base, m_e)
+        _check_finite(x_next, mu_e, var_e, e_next.k, bn_e.beta)
+        cache = {"first": e_next}
+    else:
+        # t = e W_edge^T + s_i + r_j in three tile sweeps (sum, centred
+        # squares, output); the diagonal (i == j) rows are left out of the
+        # sums. A FirstEdges input is built into the output rows, where the
+        # last sweep adds the residual.
+        h = x.shape[1]
+        source = x @ layer.w_source.T
+        target = x @ layer.w_target.T
+        t = np.empty((batch.n_pairs, h), dtype=x.dtype)
+        e_next = np.empty_like(t)
+        residual = e_next if isinstance(e, FirstEdges) else e
+        buf, = _tile_buffers(batch, 1, h, x.dtype)
+        total = np.zeros(h, dtype=x.dtype)
+        for tile_nodes, nodes, rows in _edge_tiles(batch):
+            e_in = _input_tile(e, tile_nodes, nodes, rows, e_next[rows], batch)
+            tile = np.matmul(e_in, layer.w_edge.T, out=t[rows])
+            block = tile.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
+            block += source[tile_nodes, None, :]
+            block += target[None, nodes, :]
+            total += tile.sum(axis=0) - _diagonal(tile, tile_nodes, nodes).sum(axis=0)
+        mu_e = total / m_e
+        squares = np.zeros(h, dtype=x.dtype)
+        for tile_nodes, nodes, rows in _edge_tiles(batch):
+            tile = t[rows]
+            tile -= mu_e
+            diag = _diagonal(tile, tile_nodes, nodes)
+            squares += np.einsum("ij,ij->j", tile, tile) - np.einsum("ij,ij->j", diag, diag)
+        var_e = squares / m_e
+        k = bn_e.gamma / np.sqrt(var_e + BN_EPS)
+        # a non-finite t shows in its sums; past this only an overflow can stop e_next
+        _check_finite(x_next, mu_e, var_e, k, bn_e.beta)
+        relu_e = np.empty(t.shape, dtype=bool)
+        try:
+            with np.errstate(over="raise"):
+                for _, _, rows in _edge_tiles(batch):
+                    y = np.multiply(t[rows], k, out=buf[: rows.stop - rows.start])
+                    y += bn_e.beta
+                    np.greater(y, 0.0, out=relu_e[rows])
+                    np.maximum(y, 0.0, out=y)
+                    np.add(residual[rows], y, out=e_next[rows])
+        except FloatingPointError as exc:
+            raise NonFiniteActivation(f"conv layer edge update: {exc}") from exc
+        cache = {"e": e, "t_c": t, "relu_e": relu_e}
     _update_running(bn_n, mu_n, var_n, len(s))
     _update_running(bn_e, mu_e, var_e, m_e)
 
-    cache = {
-        "x": x, "e": e, "embed_params": embed_params, "gate": (sg_vals, den, raw, v),
-        "mu_n": mu_n, "var_n": var_n, "s_c": s_c, "relu_n": y_n > 0,
-        "var_e": var_e, "t_c": t, "relu_e": relu_e,
-    }
+    cache.update(x=x, gate=(sg_vals, den, raw, v), mu_n=mu_n, var_n=var_n, s_c=s_c,
+                 relu_n=y_n > 0, var_e=var_e)
     return x_next, e_next, cache
 
 
@@ -509,43 +639,108 @@ def _bn_backward_terms(bn: BatchNorm, var, g_sum, gc_sum, m: int):
     return k, k * g_sum / m, k * gc_sum / (m * (var + BN_EPS)), gc_sum / std
 
 
-def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
-    """Exact gradients of one conv layer from its training-mode cache, as a
-    ConvLayer whose batch-norm running fields are 0; the edge gradient
-    accumulates in the rows of de_next."""
-    x, e = cache["x"], cache["e"]
-    sg_vals, den, raw, v = cache["gate"]
-    t_c, relu_e = cache["t_c"], cache["relu_e"]
-    h = x.shape[1]
-
-    # edge branch: e_next = e + relu(k * t_c + beta); the pooled sums come
-    # first, over every row (the diagonal rows of de_next are 0)
-    ge_buf, work = _tile_buffers(batch, 2, h, x.dtype)
-    g_sum = np.zeros(h, dtype=x.dtype)
-    gc_sum = np.zeros(h, dtype=x.dtype)
-    for _, _, rows in _edge_tiles(batch):
-        ge = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[: rows.stop - rows.start])
-        g_sum += ge.sum(axis=0)
-        gc_sum += np.einsum("ij,ij->j", ge, t_c[rows])
-    k, a, c, d_gamma = _bn_backward_terms(
-        layer.bn_edge, cache["var_e"], g_sum, gc_sum, int(batch.pair_mask.sum()))
-    d_bn_edge = BatchNorm(d_gamma, g_sum, np.zeros(h), np.zeros(h))
-    dt_i = np.empty_like(x)
-    dt_j = np.zeros_like(x)
-    d_w_edge = np.zeros((h, h), dtype=x.dtype)
+def _first_edge_backward(de_next, layer: ConvLayer, batch: GraphBatch, first: FirstEdges,
+                         var_e, m_e: int):
+    """Edge branch of the first layer's backward, from its closed form. One
+    sweep over de_next rebuilds each tile's centred pre-activations t0 and
+    takes, of ge = de_next where the ReLU passed, the sum of ge * t0, the
+    row and column sums per node and the adjacency rows. The pre-activation
+    gradient dt = k ge - a - c t0 off the diagonal then has row, column and
+    adjacency sums in O(N h + A h), and the input rows, base plus lift on
+    the adjacency, give the weight and input gradients. Returns the input
+    gradient as (its sum over all pair rows, its (A, h) adjacency rows),
+    the row and column sums of dt, dL/dW_edge and the batch-norm gradient."""
+    u, r, d = first.u, first.r, first.d
+    h = u.shape[1]
+    t_buf, ge_buf = _tile_buffers(batch, 2, h, u.dtype)
+    ge_i = np.empty_like(u)
+    ge_j = np.zeros_like(u)
+    ge_adj = np.empty_like(d)
+    de_adj = np.empty_like(d)
+    gc_sum = np.zeros(h, dtype=u.dtype)
+    de_sum = np.zeros(h, dtype=u.dtype)
     for tile_nodes, nodes, rows in _edge_tiles(batch):
         n_rows = rows.stop - rows.start
-        dt = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[:n_rows])
-        dt *= k
-        dt -= a
-        dt -= np.multiply(t_c[rows], c, out=work[:n_rows])
-        _diagonal(dt, tile_nodes, nodes)[...] = 0.0
-        d_w_edge += dt.T @ _input_tile(e, tile_nodes, rows, work, batch, cache["embed_params"])
-        de_rows = de_next[rows]   # de = de_next + dt W_edge, in place
-        de_rows += np.matmul(dt, layer.w_edge, out=work[:n_rows])
-        block = dt.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
-        dt_i[tile_nodes] = block.sum(axis=1)
-        dt_j[nodes] += block.sum(axis=0)
+        t0 = t_buf[:n_rows]
+        run, local = _first_preactivation(first, t0, tile_nodes, nodes, rows, batch)
+        de_rows = de_next[rows]
+        y = np.multiply(t0, first.k, out=ge_buf[:n_rows])
+        y += first.beta
+        ge = np.multiply(de_rows, y > 0.0, out=y)
+        gc_sum += np.einsum("ij,ij->j", ge, t0)
+        block = ge.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
+        ge_i[tile_nodes] = block.sum(axis=1)
+        ge_j[nodes] += block.sum(axis=0)
+        ge_adj[run] = ge[local]
+        de_adj[run] = de_rows[local]
+        de_sum += de_rows.sum(axis=0)
+    # the diagonal rows of de_next are 0, so ge's sums are over i != j
+    g_sum = ge_i.sum(axis=0)
+    k, a, c, d_gamma = _bn_backward_terms(layer.bn_edge, var_e, g_sum, gc_sum, m_e)
+
+    # sums of t0 over j != i (row i) and over i != j (column j)
+    pairs = _node_pairs(batch, u.dtype)
+    rows_t = pairs * u + (_block_sums(r, batch) - r) \
+        + _segment_scatter(d, batch.row_starts, batch.row_ids, len(u))
+    cols_t = (_block_sums(u, batch) - u) + pairs * r \
+        + _segment_scatter(d[batch.col_perm], batch.row_starts, batch.row_ids, len(u))
+    dt_i = k * ge_i - pairs * a - c * rows_t
+    dt_j = k * ge_j - pairs * a - c * cols_t
+    _, src, dst = batch.adj_idx
+    t_adj = u[src] + r[dst]
+    t_adj += d
+    dt_adj = k * ge_adj - a - c * t_adj
+    dt_sum = dt_i.sum(axis=0)
+    d_w_edge = np.outer(dt_sum, first.base) + dt_adj.T @ first.lift
+    de = (de_sum + dt_sum @ layer.w_edge, de_adj + dt_adj @ layer.w_edge)
+    return de, dt_i, dt_j, d_w_edge, BatchNorm(d_gamma, g_sum, np.zeros(h), np.zeros(h))
+
+
+def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
+    """Exact gradients of one conv layer from its training-mode cache, as a
+    ConvLayer whose batch-norm running fields are 0. The edge gradient
+    accumulates in the rows of de_next; the first layer, held in closed
+    form, returns it as (its sum over all pair rows, its (A, h) adjacency
+    rows), all the input embedding's backward reads."""
+    x = cache["x"]
+    sg_vals, den, raw, v = cache["gate"]
+    h = x.shape[1]
+    m_e = int(batch.pair_mask.sum())
+    first = cache.get("first")
+
+    if first is not None:
+        de, dt_i, dt_j, d_w_edge, d_bn_edge = _first_edge_backward(
+            de_next, layer, batch, first, cache["var_e"], m_e)
+    else:
+        # edge branch: e_next = e + relu(k * t_c + beta); the pooled sums
+        # come first, over every row (the diagonal rows of de_next are 0)
+        e, t_c, relu_e = cache["e"], cache["t_c"], cache["relu_e"]
+        ge_buf, work = _tile_buffers(batch, 2, h, x.dtype)
+        g_sum = np.zeros(h, dtype=x.dtype)
+        gc_sum = np.zeros(h, dtype=x.dtype)
+        for _, _, rows in _edge_tiles(batch):
+            ge = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[: rows.stop - rows.start])
+            g_sum += ge.sum(axis=0)
+            gc_sum += np.einsum("ij,ij->j", ge, t_c[rows])
+        k, a, c, d_gamma = _bn_backward_terms(layer.bn_edge, cache["var_e"], g_sum, gc_sum, m_e)
+        d_bn_edge = BatchNorm(d_gamma, g_sum, np.zeros(h), np.zeros(h))
+        dt_i = np.empty_like(x)
+        dt_j = np.zeros_like(x)
+        d_w_edge = np.zeros((h, h), dtype=x.dtype)
+        for tile_nodes, nodes, rows in _edge_tiles(batch):
+            n_rows = rows.stop - rows.start
+            dt = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[:n_rows])
+            dt *= k
+            dt -= a
+            dt -= np.multiply(t_c[rows], c, out=work[:n_rows])
+            _diagonal(dt, tile_nodes, nodes)[...] = 0.0
+            d_w_edge += dt.T @ _input_tile(e, tile_nodes, nodes, rows, work[:n_rows], batch)
+            de_rows = de_next[rows]   # de = de_next + dt W_edge, in place
+            de_rows += np.matmul(dt, layer.w_edge, out=work[:n_rows])
+            block = dt.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
+            dt_i[tile_nodes] = block.sum(axis=1)
+            dt_j[nodes] += block.sum(axis=0)
+        de = de_next
     dx = dx_next + dt_i @ layer.w_source + dt_j @ layer.w_target
 
     # node branch: x_next = x + relu(y_n)
@@ -566,11 +761,15 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     dv_vals = sg_vals * draw[src]
     dv = _segment_scatter(dv_vals[batch.col_perm], batch.row_starts, batch.row_ids, len(x))
     dsg_vals = draw[src] * v[dst] + dden[src]
-    de_next[edge] += dsg_vals * sg_vals * (1.0 - sg_vals)
+    d_adjacent = dsg_vals * sg_vals * (1.0 - sg_vals)
+    if first is not None:
+        de = (de[0] + d_adjacent.sum(axis=0), de[1] + d_adjacent)
+    else:
+        de[edge] += d_adjacent
     dx += dv @ layer.w_neighbor
 
     grads = ConvLayer(ds.T @ x, dv.T @ x, d_w_edge, dt_i.T @ x, dt_j.T @ x, d_bn_node, d_bn_edge)
-    return dx, de_next, grads
+    return dx, de, grads
 
 
 def _mlp_hidden(z, params: ModelParams, hidden):
@@ -658,11 +857,14 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
     last = len(params.layers) - 1
     for k, layer in enumerate(params.layers):
         # in eval the MLP head reads only the last layer's folded edge terms;
-        # in training the first layer embeds each pair tile it reads
+        # in training the first layer is computed in closed form
         x, e, cache = conv_forward(x, e, layer, batch, training,
                                    fold_only=not training and k == last,
-                                   embed_params=params if training and k == 0 else None)
+                                   base=_pair_bias(params) if training and k == 0 else None)
         layer_caches.append(cache)
+    if isinstance(e, FirstEdges):
+        # a one-layer model: the MLP head and its backward read every row
+        e = _first_rows(e, batch)
     rows = mlp_head(e, params, batch, training, () if training else layer_caches)
     heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)
     heat[batch.block_mask] = rows
@@ -720,14 +922,16 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
         layer_grads.append(grads)
     layer_grads.reverse()
 
-    # input embedding backward: lengths and indicators are 0 off the adjacency
+    # input embedding backward: lengths and indicators are 0 off the
+    # adjacency, so the first layer's edge gradient comes as its sum over
+    # all pair rows and its adjacency rows
     half = params.config.hidden // 2
-    edge = batch.adj_idx[0]
+    de_sum, de_adj = de
     g_node_w = dx.T @ batch.coords
     g_node_b = dx.sum(axis=0)
-    g_dist_w = batch.adj_len @ de[edge, :half]
-    g_dist_b = de[:, :half].sum(axis=0)
-    g_ind_w = de[edge, half:].sum(axis=0)
+    g_dist_w = batch.adj_len @ de_adj[:, :half]
+    g_dist_b = de_sum[:half]
+    g_ind_w = de_adj[:, half:].sum(axis=0)
 
     grads = ModelParams(params.config, g_node_w, g_node_b, g_dist_w, g_dist_b, g_ind_w,
                         layer_grads, mlp_gw, mlp_gb)

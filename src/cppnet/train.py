@@ -227,8 +227,10 @@ def train(sset: ScenarioSet, config: TrainConfig, model_config: ModelConfig,
 
 def parse_config_text(text: str) -> tuple[TrainConfig, ModelConfig]:
     """Parse a key = value config covering TrainConfig and ModelConfig. An
-    unknown key or a value its config refuses is a ParseError naming the line."""
+    unknown key, a key given twice or a value its config refuses is a
+    ParseError naming the line."""
     sections = [(config, field_kinds(config), {}) for config in (TrainConfig, ModelConfig)]
+    first_line = {}     # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -241,6 +243,9 @@ def parse_config_text(text: str) -> tuple[TrainConfig, ModelConfig]:
         section = next((s for s in sections if key in s[1]), None)
         if section is None:
             raise ParseError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ParseError(f"line {lineno}: {key} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         config, kinds, kwargs = section
         try:
             kwargs[key] = kinds[key](value)

@@ -48,12 +48,12 @@ def small_setup(map_seed=3, param_seed=1, hidden=6, layers=2, density=0.2, pad=2
     return grid, graph, config, params, batch, labels
 
 
-def pair_embedding(batch, params, adj_rows):
+def pair_embedding(batch, base, adj_rows):
     """The (P, h) input edge rows of every pair, which the model never holds:
-    each block filled as the model fills its edge tiles."""
-    e0 = np.empty((batch.n_pairs, params.config.hidden), dtype=adj_rows.dtype)
-    for _, nodes, edges in batch.blocks:
-        model._embed_tile(e0[edges], nodes, edges, adj_rows, batch, params)
+    base, the embedding of step length 0 and indicator 0, but on the
+    adjacency."""
+    e0 = np.tile(base, (batch.n_pairs, 1))
+    e0[batch.adj_idx[0]] = adj_rows
     return e0
 
 
@@ -102,7 +102,7 @@ def test_embed_zero_cases():
     params.node_bias[:] = 0.0
     params.dist_bias[:] = 0.0
     x0, adj_rows = embed_input(batch, params)
-    e0 = pair_embedding(batch, params, adj_rows)
+    e0 = pair_embedding(batch, model._pair_bias(params), adj_rows)
     assert np.array_equal(e0[batch.adj_idx[0]], adj_rows)
     # zero bias: every real node embeds its coordinates and nothing else
     assert x0.shape == (batch.real.sum(), params.config.hidden)
@@ -151,7 +151,7 @@ def test_conv_isolated_node_reduces_to_self_term():
     batch = stack_graphs([encode(lone, graph.n_max), graph])
     x0, e0 = embed_input(batch, params)
     x1, _, cache = conv_forward(x0, e0, params.layers[0], batch, training=True,
-                                embed_params=params)
+                                base=model._pair_bias(params))
     layer = params.layers[0]
     s = x0[0] @ layer.w_self.T  # aggregation is zero for the isolated node
     s_hat = (s - cache["mu_n"]) / np.sqrt(cache["var_n"] + BN_EPS)
@@ -271,7 +271,7 @@ def test_gradients_match_on_eight_connected_graph():
     assert_gradients_match(batch, labels, params)
 
 
-def mixed_batch(connectivity, n_max=None):
+def mixed_batch(connectivity, n_max=None, dtype=np.float64):
     """Three maps of different free-cell counts, padded to one capacity
     (the largest count unless n_max is given), with their 2-opt labels."""
     grids = [generate_scenario(3, 3, 1.0, 0.4, seed=2),
@@ -280,12 +280,12 @@ def mixed_batch(connectivity, n_max=None):
     sizes = [g.n_free for g in grids]
     assert len(set(sizes)) == 3
     n = n_max or max(sizes)
-    batch = stack_graphs([encode(g, n, connectivity) for g in grids])
+    batch = stack_graphs([encode(g, n, connectivity) for g in grids], dtype=dtype)
     labels = np.stack([
         pairs_to_matrix(label_pairs(two_opt(cost_matrix(g, connectivity), g.start_slot)), n)
         for g in grids
     ])
-    return batch, labels
+    return batch, labels.astype(dtype)
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])
@@ -353,6 +353,62 @@ def test_training_step_independent_of_tile_size(connectivity, monkeypatch):
                 (tile_rows, name)
 
 
+def reference_first_layer(monkeypatch):
+    """Make forward and loss_and_grads run the first training conv layer
+    the way the model ran it before its closed form: on its (P, h) input
+    rows, through the tile path that every later layer takes."""
+    conv_forward, conv_backward = model.conv_forward, model.conv_backward
+
+    def forward_layer(x, e, layer, batch, training, fold_only=False, base=None):
+        if base is None:
+            return conv_forward(x, e, layer, batch, training, fold_only)
+        x, e, cache = conv_forward(x, pair_embedding(batch, base, e), layer, batch, training)
+        cache["reference"] = True
+        return x, e, cache
+
+    def backward_layer(dx, de, layer, batch, cache):
+        dx, de, grads = conv_backward(dx, de, layer, batch, cache)
+        if cache.get("reference"):
+            de = (de.sum(axis=0), de[batch.adj_idx[0]])
+        return dx, de, grads
+
+    monkeypatch.setattr(model, "conv_forward", forward_layer)
+    monkeypatch.setattr(model, "conv_backward", backward_layer)
+
+
+@pytest.mark.parametrize("tile_rows", [1, 20, 10**6])
+@pytest.mark.parametrize("connectivity, conv_layers, dtype", [
+    (4, 1, "float64"), (4, 3, "float64"), (8, 1, "float64"), (8, 3, "float64"),
+    (4, 3, "float32"),
+])
+def test_first_layer_closed_form_matches_tile_path(connectivity, conv_layers, dtype,
+                                                    tile_rows, monkeypatch):
+    # blocks of 5, 7 and 8 nodes; a one-layer model materialises the first
+    # layer's rows for the MLP head, a three-layer one builds them in the
+    # second layer's tiles. float32 keeps its dtype, to its own precision.
+    batch, labels = mixed_batch(connectivity, dtype=dtype)
+    config = ModelConfig(hidden=6, conv_layers=conv_layers, mlp_layers=2, n_max=batch.n,
+                         dtype=dtype)
+    seeded = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
+    monkeypatch.setattr(model, "EDGE_TILE_ROWS", tile_rows)
+
+    def step():
+        params = copy.deepcopy(seeded)
+        heat, cache = forward(batch, params, training=True)
+        loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+        return loss, grads.named_trainable() + params.named_running()
+
+    loss, got = step()
+    with monkeypatch.context() as patched:
+        reference_first_layer(patched)
+        want_loss, want = step()
+    rel = 1e-12 if dtype == "float64" else 5e-5
+    assert abs(loss - want_loss) <= rel * abs(want_loss)
+    for (name, g), (_, w) in zip(got, want):
+        assert g.dtype == w.dtype == config.np_dtype, name
+        assert np.abs(g - w).max() <= rel * max(np.abs(w).max(), 1e-3), name
+
+
 def test_eval_batch_norm_folds_running_statistics():
     # with the running statistics set to the batch statistics a training
     # forward used, the folded eval forward must give the training heat
@@ -364,10 +420,13 @@ def test_eval_batch_norm_folds_running_statistics():
     for layer, lc in zip(params.layers, cache["layers"]):
         layer.bn_node.run_mean[...] = lc["mu_n"]
         layer.bn_node.run_var[...] = lc["var_n"]
-        x, e = lc["x"], lc["e"]
+        x = lc["x"]
         if layer is params.layers[0]:
-            # the first layer keeps only the adjacency rows of its input
-            e = pair_embedding(batch, params, e)
+            # the first layer keeps no input: its pair rows are the embedding
+            e = pair_embedding(batch, model._pair_bias(params), embed_input(batch, params)[1])
+        else:
+            # the second layer reads the first layer's rows in closed form
+            e = model._first_rows(lc["e"], batch)
         pairs = []
         for nb, nodes, edges in batch.blocks:
             t = (e[edges] @ layer.w_edge.T).reshape(nb, nb, -1) \
@@ -419,13 +478,13 @@ def test_eval_heat_independent_of_tile_size(connectivity, monkeypatch):
         assert np.all(heat[~batch.block_mask] == 0.0)
 
 
-def test_training_step_peak_memory_is_about_seven_edge_arrays():
-    # a training step holds, per conv layer, its centred pre-activations,
-    # its ReLU mask and (past the first layer, whose pair rows are embedded
-    # tile by tile) its input; the final edge rows become their own
-    # gradient and the MLP head keeps no hidden row. Two 12x12 maps, about
-    # 34 000 pair rows (13.6 MB per (P, h) array), make the edge arrays the
-    # whole footprint.
+def test_training_step_peak_memory_is_about_five_edge_arrays():
+    # a training step holds, per conv layer past the first, whose rows are
+    # held in closed form, its centred pre-activations, its ReLU mask and
+    # its output rows; the final edge rows become their own gradient and
+    # the MLP head keeps no hidden row. Two 12x12 maps, about 34 000 pair
+    # rows (13.6 MB per (P, h) array), make the edge arrays the whole
+    # footprint.
     grids = [generate_scenario(12, 12, 1.0, 0.0, seed=0),
              generate_scenario(12, 12, 1.0, 0.2, seed=1)]
     n = max(g.n_free for g in grids)
@@ -442,7 +501,7 @@ def test_training_step_peak_memory_is_about_seven_edge_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
+    assert peak <= 5.5 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
 
 
 def test_eval_forward_keeps_no_edge_array():
@@ -553,6 +612,20 @@ def test_non_finite_edge_activation_detected(where):
         layer.w_edge[0, 0] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NonFiniteActivation):
+            forward(batch, params, training=True)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_overflow_in_first_layer_rows_detected(layers):
+    # the first layer's rows are built where they are read: in the second
+    # layer's gate and tiles, or, in a one-layer model, for the MLP head.
+    # Finite batch-norm parameters make each build overflow, as in
+    # test_non_finite_edge_activation_detected.
+    _, _, _, params, batch, _ = small_setup(layers=layers)
+    params.layers[0].bn_edge.gamma[:] = 1e307
+    params.layers[0].bn_edge.beta[:] = 1.7e308
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteActivation, match="edge update"):
             forward(batch, params, training=True)
 
 

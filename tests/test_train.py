@@ -8,6 +8,7 @@ from cppnet.model import (
     forward,
     init_params,
     load_checkpoint,
+    loss_and_grads,
     stack_graphs,
     weighted_bce,
 )
@@ -90,6 +91,32 @@ def test_training_reduces_loss_from_first_batch():
     first_batch_loss, _, _ = weighted_bce(heat, labels, batch.pair_mask)
 
     assert report.epochs[-1].train_loss < first_batch_loss
+
+
+def test_acceptance_recipe_first_steps_keep_their_losses():
+    # the first three steps of the acceptance recipe's training, as the
+    # benchmark's train-10x10 workload runs them: the 250-map set of seed
+    # 101, epoch 1's batch order under TrainConfig(seed=0), the initial
+    # weights and Adam. A change to the arithmetic of a step shows here.
+    maps = dataset_build(250, 10, 10, 1.0, (0.0, 0.5), (0.8, 0.2, 0.0), seed=101).split("train")
+    config, model_config = TrainConfig(seed=0), ModelConfig()
+    order = np.random.default_rng([config.seed, 1]).permutation(len(maps))
+    params = init_params(model_config, config.seed)
+    optimizer = Adam(params.trainable_arrays(), config.learning_rate, config.beta1,
+                     config.beta2, config.eps)
+    cache = LabelCache(None)
+    losses = []
+    for step in range(3):
+        grids = [maps[i] for i in order[step * config.batch_size:(step + 1) * config.batch_size]]
+        batch, labels = train_mod._batch_tensors(
+            [encode(g, model_config.n_max) for g in grids],
+            train_mod.prepare_labels(grids, cache), model_config.n_max, model_config.np_dtype)
+        heat, fwd_cache = forward(batch, params, training=True)
+        loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, fwd_cache)
+        optimizer.step(grads.trainable_arrays())
+        losses.append(loss)
+    assert losses == pytest.approx(
+        [0.7236685491283066, 0.6740780582581305, 0.636100773714214], rel=1e-10, abs=0.0)
 
 
 def test_train_requires_validation_split():
@@ -245,6 +272,13 @@ def test_parse_config_rejects_unknown_keys():
     # the CLI's required --out names the checkpoint directory, not the config
     with pytest.raises(ParseError, match="line 1: unknown config key 'checkpoint_dir'"):
         parse_config_text("checkpoint_dir = out\n")
+
+
+def test_parse_config_rejects_a_repeated_key():
+    # a second value would silently win over the first
+    text = "# a config\nbatch_size = 4\nseed = 1\nbatch_size = 8\n"
+    with pytest.raises(ParseError, match="line 4: batch_size is already set on line 2"):
+        parse_config_text(text)
 
 
 @pytest.mark.parametrize("line", ["batch_size = x", "n_max = 1.5", "dtype = float16",
