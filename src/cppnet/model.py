@@ -18,24 +18,25 @@ Conventions:
     features are (N, h) rows and edge features (P, h) rows, graph b
     owning n_b node rows and its (n_b, n_b) edge block. Padding slots are
     never computed; their heat is 0.
+  - The first conv layer is held in closed form (FirstEdges) in both
+    modes: its input rows are the bias row but on the adjacency, so its
+    centred edge pre-activation is u_i + r_j, plus d_q on adjacency row q.
+    It keeps no (P, h) array; each reader builds its tiles (_input_tile).
   - In training mode, batch-norm statistics are pooled over all blocks:
-    over real nodes and over real ordered pairs (i != j). The first conv
-    layer is computed in closed form (FirstEdges): its input rows are the
-    bias row but on the adjacency, so its centred edge pre-activation is
-    u_i + r_j, plus d_q on adjacency row q, and its statistics and
-    gradients follow from per-block node sums; it keeps no (P, h) array,
-    and the second layer builds each tile of its input where it reads it.
-    Every later layer sums cache-sized edge tiles, and the cache holds,
-    per such layer, the centred edge pre-activations t_c, the edge ReLU
-    mask and its output rows, the next layer's input. The final edge rows
-    stay for the MLP backward, which computes each tile's hidden rows
-    again and writes the edge gradient over those rows.
-  - In eval mode the forward is depth-first and holds no (P, h) array: the
-    conv layers run on the (A, h) adjacency rows only, which are all the
-    node features read, and keep their folded edge terms (the last layer
-    computes nothing else, since only edge rows reach the head); the MLP
-    head then runs each edge tile from its embedding through every folded
-    edge update and the MLP.
+    over real nodes and over real ordered pairs (i != j); the first
+    layer's follow from per-block node sums. Every later layer sums
+    cache-sized edge tiles, and the cache holds, per such layer, the
+    centred edge pre-activations t_c, the edge ReLU mask and its output
+    rows, the next layer's input. The final edge rows stay for the MLP
+    backward, which computes each tile's hidden rows again and writes the
+    edge gradient over those rows.
+  - In eval mode, under the running statistics, the forward is depth-first
+    and holds no (P, h) array: the conv layers run on the (A, h) adjacency
+    rows only, which are all the node features read, and each past the
+    first keeps its folded edge terms (the last computes nothing else,
+    since only edge rows reach the head); the MLP head then builds each
+    edge tile from the closed form and runs it through every folded edge
+    update and the MLP.
 """
 
 import json
@@ -306,12 +307,6 @@ def _sigmoid(x):
     return out
 
 
-def _adjacency_embedding(batch: GraphBatch, params: ModelParams):
-    """(A, h) embedding rows (length * w_dist + b, w_ind) of the adjacency."""
-    steps = batch.adj_len[:, None] * params.dist_weight + params.dist_bias
-    return np.concatenate([steps, np.broadcast_to(params.indicator_weight, steps.shape)], axis=1)
-
-
 def _pair_bias(params: ModelParams):
     """The input embedding of every pair off the adjacency, the diagonal
     (i, i) included: step length 0 and indicator 0, the bias alone."""
@@ -327,26 +322,19 @@ def _tile_adjacency(tile_nodes, rows, batch: GraphBatch):
     return slice(lo, hi), edge[lo:hi] - rows.start
 
 
-def _embed_tile(tile, tile_nodes, rows, adj_rows, batch: GraphBatch, params: ModelParams):
-    """Fill an edge tile from _edge_tiles with its input embedding, taking
-    its adjacency rows from adj_rows and every other row from _pair_bias."""
-    # whole rows: two half-row fills took 1.6x as long on a training batch
-    tile[...] = _pair_bias(params)
-    run, local = _tile_adjacency(tile_nodes, rows, batch)
-    tile[local] = adj_rows[run]
-
-
 def embed_input(batch: GraphBatch, params: ModelParams):
     """Linear embeddings of node coordinates and (step length, indicator)
-    edges: the (N, h) node rows and the (A, h) edge rows of the adjacency,
-    in adj_idx order. Every other pair row embeds the bias alone
-    (_pair_bias), which the eval head embeds tile by tile (_embed_tile)
-    and the first training layer takes in closed form."""
+    edges: the (N, h) node rows and the (A, h) edge rows (length * w_dist
+    + b, w_ind) of the adjacency, in adj_idx order. Every other pair row
+    embeds the bias alone (_pair_bias), which the first conv layer takes
+    in closed form."""
     h = params.config.hidden
     if params.node_weight.shape != (h, 2):
         raise ShapeMismatch(f"node weight shape {params.node_weight.shape} != ({h}, 2)")
     x0 = batch.coords @ params.node_weight.T + params.node_bias
-    return x0, _adjacency_embedding(batch, params)
+    steps = batch.adj_len[:, None] * params.dist_weight + params.dist_bias
+    return x0, np.concatenate([steps, np.broadcast_to(params.indicator_weight, steps.shape)],
+                              axis=1)
 
 
 def _update_running(bn: BatchNorm, mean, var, m: int) -> None:
@@ -389,20 +377,24 @@ def _tile_buffers(batch: GraphBatch, count: int, h: int, dtype):
 
 @dataclass(frozen=True, eq=False)
 class FirstEdges:
-    """The (P, h) output edge rows of the first training conv layer, held in
-    closed form. That layer's input rows are base but on the adjacency,
-    where row q is base + lift_q, so its centred edge pre-activation of pair
-    (i, j) is u_i + r_j, plus d_q on adjacency row q, and its output row is
-    the input row plus relu(k * (u_i + r_j [+ d_q]) + beta). The layer that
-    reads these rows builds each tile where it reads it (_input_tile)."""
+    """The (P, h) output edge rows of the first conv layer, held in closed
+    form. That layer's input rows are base but on the adjacency, where row
+    q is base + lift_q, so its centred edge pre-activation of pair (i, j)
+    is u_i + r_j, plus d_q on adjacency row q, and its output row is the
+    input row plus relu(k * (u_i + r_j [+ d_q]) + beta). Whatever reads
+    these rows builds each tile where it reads it (_input_tile)."""
 
-    u: np.ndarray      # (N, h) source terms, centred over the pairs
-    r: np.ndarray      # (N, h) target terms, centred over the pairs
+    u: np.ndarray      # (N, h) source terms
+    r: np.ndarray      # (N, h) target terms
     d: np.ndarray      # (A, h) adjacency terms, in adj_idx order
     k: np.ndarray      # (h,) batch-norm scale gamma / sqrt(var + eps)
     beta: np.ndarray   # (h,) batch-norm shift
     base: np.ndarray   # (h,) input row of every pair off the adjacency
     lift: np.ndarray   # (A, h) adjacency input rows minus base
+
+    @property
+    def dtype(self):
+        return self.u.dtype
 
 
 def _first_preactivation(first: FirstEdges, tile, tile_nodes, nodes, rows, batch: GraphBatch):
@@ -432,25 +424,18 @@ def _first_output(first: FirstEdges, t, run, local):
 
 
 def _input_tile(e, tile_nodes, nodes, rows, out, batch: GraphBatch):
-    """An edge tile of a training conv layer's (P, h) input: the rows of e,
-    or, when e is the first layer's FirstEdges, the tile built into out."""
+    """An edge tile from _edge_tiles of (P, h) edge rows: the rows of the
+    array e, or, when e is the first layer's FirstEdges, the tile built
+    into out."""
     if not isinstance(e, FirstEdges):
         return e[rows]
     run, local = _first_preactivation(e, out, tile_nodes, nodes, rows, batch)
     return _first_output(e, out, run, local)
 
 
-def _first_rows(first: FirstEdges, batch: GraphBatch):
-    """Every (P, h) row of the first layer's output, tile by tile."""
-    out = np.empty((batch.n_pairs, first.u.shape[1]), dtype=first.u.dtype)
-    for tile_nodes, nodes, rows in _edge_tiles(batch):
-        _input_tile(first, tile_nodes, nodes, rows, out[rows], batch)
-    return out
-
-
 def _adjacent_rows(e, batch: GraphBatch):
-    """The (A, h) adjacency rows of training edge rows: of the (P, h) array
-    e, or of FirstEdges, as its tiles hold them."""
+    """The (A, h) adjacency rows of (P, h) edge rows: of the array e, or of
+    FirstEdges, as its tiles hold them."""
     edge, src, dst = batch.adj_idx
     if not isinstance(e, FirstEdges):
         return e[edge]
@@ -472,32 +457,37 @@ def _block_sums(values, batch: GraphBatch):
     return np.repeat(sums, [nb for nb, _, _ in batch.blocks], axis=0)
 
 
-def _first_edge_forward(x, e, layer: ConvLayer, batch: GraphBatch, base, m_e: int):
-    """The first training layer's edge branch in closed form, from its (A, h)
+def _first_edge_forward(x, e, layer: ConvLayer, batch: GraphBatch, base, m_e=None):
+    """The first layer's edge branch in closed form, from its (A, h)
     adjacency embedding e and base, the input row of every other pair.
-    With each term centred over the m_e pairs, the pre-activation of
-    pair (i, j) less the batch mean is u_i + r_j (+ d_q), so the mean and
-    variance come from sums over the node rows: over the pairs i != j of
-    a block, sum (u_i + r_j)^2 = (n_b - 1)(sum u^2 + sum r^2) + 2 (sum u
-    sum r - sum u_i r_i). Returns FirstEdges, the batch mean and variance."""
-    pairs = _node_pairs(batch, x.dtype)
+    Without m_e (eval) the mean and variance are the running statistics.
+    With it, each term is centred over the m_e pairs, the pre-activation
+    of pair (i, j) less the batch mean is u_i + r_j (+ d_q), and the mean
+    and variance come from sums over the node rows: over the pairs i != j
+    of a block, sum (u_i + r_j)^2 = (n_b - 1)(sum u^2 + sum r^2) + 2 (sum u
+    sum r - sum u_i r_i). Returns FirstEdges, the mean and the variance."""
     lift = e - base
     d = lift @ layer.w_edge.T
     s = x @ layer.w_source.T + base @ layer.w_edge.T
     r = x @ layer.w_target.T
-    mean_s = (pairs * s).sum(axis=0) / m_e
-    mean_r = (pairs * r).sum(axis=0) / m_e
-    mean_d = d.sum(axis=0) / m_e
-    u = s - (mean_s + mean_d)
-    r -= mean_r
-    _, src, dst = batch.adj_idx
-    squares = ((pairs * (u * u + r * r)).sum(axis=0)
-               + 2 * np.einsum("ij,ij->j", _block_sums(u, batch) - u, r)
-               + np.einsum("ij,ij->j", d, 2 * (u[src] + r[dst]) + d))
-    var_e = squares / m_e
     bn_e = layer.bn_edge
+    if m_e is None:
+        mean, var_e = bn_e.run_mean, bn_e.run_var
+        u = s - mean
+    else:
+        pairs = _node_pairs(batch, x.dtype)
+        mean_s = (pairs * s).sum(axis=0) / m_e
+        mean_r = (pairs * r).sum(axis=0) / m_e
+        mean_d = d.sum(axis=0) / m_e
+        u = s - (mean_s + mean_d)
+        r -= mean_r
+        _, src, dst = batch.adj_idx
+        squares = ((pairs * (u * u + r * r)).sum(axis=0)
+                   + 2 * np.einsum("ij,ij->j", _block_sums(u, batch) - u, r)
+                   + np.einsum("ij,ij->j", d, 2 * (u[src] + r[dst]) + d))
+        mean, var_e = mean_s + mean_r + mean_d, squares / m_e
     k = bn_e.gamma / np.sqrt(var_e + BN_EPS)
-    return FirstEdges(u, r, d, k, bn_e.beta, base, lift), mean_s + mean_r + mean_d, var_e
+    return FirstEdges(u, r, d, k, bn_e.beta, base, lift), mean, var_e
 
 
 def _diagonal(tile, tile_nodes, nodes):
@@ -538,24 +528,26 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
                  fold_only: bool = False, base=None):
     """One residual gated graph-convolution layer on (N, h) node rows and
     edge rows: all (P, h) pair rows in training mode, the (A, h) adjacency
-    rows in eval mode. The first training layer passes base, the input row
-    of every pair off the adjacency (_pair_bias): its e is then
-    embed_input's (A, h) adjacency embedding, and it returns its edge rows
-    in closed form, as FirstEdges, which the next layer takes as its e.
+    rows in eval mode. The first layer passes base, the input row of every
+    pair off the adjacency (_pair_bias): its e is then embed_input's (A, h)
+    adjacency embedding, and its edge rows are held in closed form, as
+    FirstEdges, in training its next e.
 
     Returns the next node and edge features plus, in training mode, the
     cache conv_backward reads: the node inputs, the gate terms, the
     centred node pre-activations, the batch variances and, for the edges,
     the closed form or the layer input, the centred pre-activations and
     the ReLU mask; a non-finite value raises NonFiniteActivation. In eval
-    mode the adjacency rows are updated in place and returned, and the
-    cache is the layer's folded edge terms (W', s', r'), from which
-    mlp_head builds every pair. An eval layer whose node and adjacency
-    outputs nothing reads (the last one) passes fold_only: it computes
-    only the folded terms and returns x and e as they came.
+    mode the first layer builds its adjacency rows from its FirstEdges,
+    later layers update them in place, and the cache, from which mlp_head
+    builds every pair, is the FirstEdges or the folded edge terms (W', s',
+    r'). An eval layer whose node and adjacency outputs nothing reads (the
+    last one) passes fold_only: it computes only its cache and returns x
+    and e as they came.
     """
     if fold_only:
-        return x, e, _fold_edge_bn(x, layer)
+        return x, e, (_fold_edge_bn(x, layer) if base is None
+                      else _first_edge_forward(x, e, layer, batch, base)[0])
     if training and not batch.pair_mask.any():
         raise DegenerateBatch("no real pair for the edge batch statistics")
     adjacent = _adjacent_rows(e, batch) if training and base is None else e
@@ -568,6 +560,9 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     y_n = bn_n.gamma * (s_c / np.sqrt(var_n + BN_EPS)) + bn_n.beta
     x_next = x + np.maximum(y_n, 0.0)
     if not training:
+        if base is not None:
+            first = _first_edge_forward(x, e, layer, batch, base)[0]
+            return x_next, _adjacent_rows(first, batch), first
         folded = _fold_edge_bn(x, layer)
         _, src, dst = batch.adj_idx
         _edge_update(e, folded[0], folded[1][src, None], folded[2][dst, None])
@@ -784,30 +779,24 @@ def _mlp_hidden(z, params: ModelParams, hidden):
     return inputs
 
 
-def mlp_head(e_final, params: ModelParams, batch: GraphBatch, training: bool, folded=()):
+def mlp_head(e_final, params: ModelParams, batch: GraphBatch, folded=()):
     """Per-edge probability via the MLP over final edge rows, in edge tiles.
 
-    Returns the (P,) probabilities. In training mode the tiles are rows of
-    e_final, the (P, h) final edge rows, and no hidden row is kept:
-    _mlp_backward computes them again. In eval mode e_final, the adjacency
-    rows, gives only the dtype: each tile's pair rows are embedded, run
-    through every layer's folded edge update (folded holds one (W', s', r')
-    per conv layer) and the MLP in two scratch buffers.
+    e_final is the (P, h) final edge rows of a training forward or, in
+    eval or for a one-layer model, the first layer's FirstEdges; folded
+    holds the (W', s', r') of every eval layer after the first. Each tile
+    is an _input_tile of e_final, run through each folded edge update and
+    the MLP in two scratch buffers. Returns the (P,) probabilities; no
+    hidden row is kept: _mlp_backward computes them again.
     """
     last = len(params.mlp_weights) - 1
     heat = np.empty(batch.n_pairs, dtype=e_final.dtype)
-    tile_buf, buf = _tile_buffers(batch, 2, e_final.shape[1], e_final.dtype)
-    if not training:
-        adj_rows = _adjacency_embedding(batch, params)
+    tile_buf, buf = _tile_buffers(batch, 2, params.config.hidden, e_final.dtype)
     for tile_nodes, nodes, rows in _edge_tiles(batch):
-        if training:
-            z = e_final[rows]
-        else:
-            z = tile_buf[: rows.stop - rows.start]
-            _embed_tile(z, tile_nodes, rows, adj_rows, batch, params)
-            for w_edge, source, target in folded:
-                _edge_update(z, w_edge, source[tile_nodes, None], target[None, nodes],
-                             out=buf[: len(z)])
+        z = _input_tile(e_final, tile_nodes, nodes, rows, tile_buf[: rows.stop - rows.start], batch)
+        for w_edge, source, target in folded:
+            _edge_update(z, w_edge, source[tile_nodes, None], target[None, nodes],
+                         out=buf[: len(z)])
         z = _mlp_hidden(z, params, [buf] * last)[-1]
         z = z @ params.mlp_weights[last].T
         z += params.mlp_biases[last]
@@ -819,15 +808,20 @@ def _mlp_backward(dlogits, e_final, params: ModelParams, batch: GraphBatch):
     """Gradients through the MLP head, tile by tile. Each tile's hidden rows
     are computed again from e_final, as mlp_head computed them, and every
     product of the backward pass is written over the layer input it follows
-    from: a hidden tile, or the rows of e_final, which nothing reads after.
-    Returns e_final, which then holds the gradient of the final edge rows."""
+    from: a hidden tile, or the final edge rows, which nothing reads after:
+    those of e_final or, from a one-layer model's FirstEdges, built into a
+    new array. Returns the final edge rows, which then hold their gradient."""
     weights = params.mlp_weights
     last = len(weights) - 1
     grads_w = [np.zeros_like(w) for w in weights]
     grads_b = [np.zeros_like(b) for b in params.mlp_biases]
-    hidden = _tile_buffers(batch, last, e_final.shape[1], e_final.dtype)
-    for _, _, rows in _edge_tiles(batch):
-        inputs = _mlp_hidden(e_final[rows], params, hidden)
+    h = params.config.hidden
+    hidden = _tile_buffers(batch, last, h, e_final.dtype)
+    rows_out = np.empty((batch.n_pairs, h), dtype=e_final.dtype) \
+        if isinstance(e_final, FirstEdges) else e_final
+    for tile_nodes, nodes, rows in _edge_tiles(batch):
+        z = _input_tile(e_final, tile_nodes, nodes, rows, rows_out[rows], batch)
+        inputs = _mlp_hidden(z, params, hidden)
         dz = dlogits[rows, None]
         for k in reversed(range(last + 1)):
             a_in = inputs[k]
@@ -838,7 +832,7 @@ def _mlp_backward(dlogits, e_final, params: ModelParams, batch: GraphBatch):
             dz = (np.multiply if k == last else np.matmul)(dz, weights[k], out=a_in)
             if k > 0:
                 dz *= active
-    return e_final, grads_w, grads_b
+    return rows_out, grads_w, grads_b
 
 
 def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
@@ -856,16 +850,16 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
     layer_caches = []
     last = len(params.layers) - 1
     for k, layer in enumerate(params.layers):
-        # in eval the MLP head reads only the last layer's folded edge terms;
-        # in training the first layer is computed in closed form
+        # the first layer is computed in closed form; in eval the MLP head
+        # reads only the last layer's folded edge terms
         x, e, cache = conv_forward(x, e, layer, batch, training,
                                    fold_only=not training and k == last,
-                                   base=_pair_bias(params) if training and k == 0 else None)
+                                   base=_pair_bias(params) if k == 0 else None)
         layer_caches.append(cache)
-    if isinstance(e, FirstEdges):
-        # a one-layer model: the MLP head and its backward read every row
-        e = _first_rows(e, batch)
-    rows = mlp_head(e, params, batch, training, () if training else layer_caches)
+    if training:
+        rows = mlp_head(e, params, batch)
+    else:
+        rows = mlp_head(layer_caches[0], params, batch, layer_caches[1:])
     heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)
     heat[batch.block_mask] = rows
     if not training:
@@ -986,7 +980,8 @@ def _config_from_line(line: bytes) -> ModelConfig:
 
 def load_checkpoint(path) -> ModelParams:
     """Parameters of a checkpoint file. Any defect is a ParseError: an
-    undecodable byte becomes U+FFFD, which no header field accepts."""
+    undecodable byte becomes U+FFFD, which no header field accepts, and a
+    value must be finite, a running variance also non-negative."""
     with open(path, "rb") as fh:
         header = fh.readline().decode(errors="replace").strip()
         if header != CHECKPOINT_HEADER:
@@ -1015,4 +1010,8 @@ def load_checkpoint(path) -> ModelParams:
             if fh.read(1) != b"\n":
                 raise ParseError(f"tensor {name} missing terminator")
             arr[...] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise ParseError(f"tensor {name} holds a non-finite value")
+            if name.endswith(".run_var") and (arr < 0).any():
+                raise ParseError(f"tensor {name} holds a negative variance")
     return params

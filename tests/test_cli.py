@@ -248,6 +248,28 @@ def test_solve_malformed_checkpoint_is_runtime_failure(tmp_path, capsys, old, ne
     assert not (tmp_path / "t.traj").exists()
 
 
+@pytest.mark.parametrize("name, index, value", [
+    ("conv0.w_edge", (0, 0), np.nan),
+    ("conv1.bn_edge.run_var", (0,), -1.0),
+])
+def test_solve_checkpoint_with_bad_value_is_runtime_failure(tmp_path, capsys, name, index,
+                                                            value):
+    # a NaN weight or a negative running variance would plan on NaN heat
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("cpp-scenario v1 2 2 1.0 0 0\n..\n..\n")
+    params = init_params(ModelConfig(hidden=4, conv_layers=2, n_max=16), seed=0)
+    dict(params.named_trainable() + params.named_running())[name][index] = value
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(params, ckpt)
+    code = run("solve", "--scenario", str(scenario), "--model", str(ckpt),
+               "--out", str(tmp_path / "t.traj"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and name in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.traj").exists()
+
+
 @pytest.mark.parametrize("bad_pair", ["0 500", "-1 3"])
 def test_train_bad_label_cache_is_runtime_failure(tmp_path, capsys, bad_pair):
     data, labels = tmp_path / "data", tmp_path / "labels"

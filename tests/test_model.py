@@ -271,12 +271,17 @@ def test_gradients_match_on_eight_connected_graph():
     assert_gradients_match(batch, labels, params)
 
 
+def mixed_grids():
+    """Three maps of different free-cell counts."""
+    return [generate_scenario(3, 3, 1.0, 0.4, seed=2),
+            generate_scenario(3, 3, 1.0, 0.2, seed=3),
+            generate_scenario(3, 4, 1.0, 0.3, seed=5)]
+
+
 def mixed_batch(connectivity, n_max=None, dtype=np.float64):
-    """Three maps of different free-cell counts, padded to one capacity
-    (the largest count unless n_max is given), with their 2-opt labels."""
-    grids = [generate_scenario(3, 3, 1.0, 0.4, seed=2),
-             generate_scenario(3, 3, 1.0, 0.2, seed=3),
-             generate_scenario(3, 4, 1.0, 0.3, seed=5)]
+    """The mixed_grids maps, padded to one capacity (the largest count
+    unless n_max is given), with their 2-opt labels."""
+    grids = mixed_grids()
     sizes = [g.n_free for g in grids]
     assert len(set(sizes)) == 3
     n = n_max or max(sizes)
@@ -383,9 +388,10 @@ def reference_first_layer(monkeypatch):
 ])
 def test_first_layer_closed_form_matches_tile_path(connectivity, conv_layers, dtype,
                                                     tile_rows, monkeypatch):
-    # blocks of 5, 7 and 8 nodes; a one-layer model materialises the first
-    # layer's rows for the MLP head, a three-layer one builds them in the
-    # second layer's tiles. float32 keeps its dtype, to its own precision.
+    # blocks of 5, 7 and 8 nodes; a one-layer model builds the first
+    # layer's rows in the MLP head and its backward, a three-layer one in
+    # the second layer's tiles. float32 keeps its dtype, to its own
+    # precision.
     batch, labels = mixed_batch(connectivity, dtype=dtype)
     config = ModelConfig(hidden=6, conv_layers=conv_layers, mlp_layers=2, n_max=batch.n,
                          dtype=dtype)
@@ -426,7 +432,9 @@ def test_eval_batch_norm_folds_running_statistics():
             e = pair_embedding(batch, model._pair_bias(params), embed_input(batch, params)[1])
         else:
             # the second layer reads the first layer's rows in closed form
-            e = model._first_rows(lc["e"], batch)
+            e = np.empty((batch.n_pairs, config.hidden))
+            for tile_nodes, nodes, rows in model._edge_tiles(batch):
+                model._input_tile(lc["e"], tile_nodes, nodes, rows, e[rows], batch)
         pairs = []
         for nb, nodes, edges in batch.blocks:
             t = (e[edges] @ layer.w_edge.T).reshape(nb, nb, -1) \
@@ -439,6 +447,56 @@ def test_eval_batch_norm_folds_running_statistics():
     eval_heat, _ = forward(batch, params, training=False)
     diff = np.abs(eval_heat - train_heat)[batch.block_mask]
     assert diff.max() < 1e-12
+
+
+def reference_eval_heat(batch, params):
+    """The eval heat as the model computed it before its first layer took
+    the closed form: every (P, h) pair row embedded, then run through each
+    conv layer's folded edge update (_fold_edge_bn), then the MLP, one
+    whole block at a time."""
+    x, adj_rows = embed_input(batch, params)
+    e = pair_embedding(batch, model._pair_bias(params), adj_rows)
+    folded = []
+    for layer in params.layers:
+        folded.append(model._fold_edge_bn(x, layer))
+        x, adj_rows, _ = conv_forward(x, adj_rows, layer, batch, training=False)
+    heat = np.zeros(batch.block_mask.shape, dtype=e.dtype)
+    for b, (nb, nodes, edges) in enumerate(batch.blocks):
+        z = e[edges].reshape(nb, nb, -1)
+        for w_edge, source, target in folded:
+            z = z + np.maximum(z @ w_edge + source[nodes, None] + target[None, nodes], 0.0)
+        for w, bias in zip(params.mlp_weights[:-1], params.mlp_biases[:-1]):
+            z = np.maximum(z @ w.T + bias, 0.0)
+        logits = (z @ params.mlp_weights[-1].T + params.mlp_biases[-1])[..., 0]
+        heat[b, :nb, :nb] = 1.0 / (1.0 + np.exp(-logits))
+    return heat
+
+
+@pytest.mark.parametrize("tile_rows", [1, 20, 10**6])
+@pytest.mark.parametrize("connectivity, conv_layers, dtype", [
+    (4, 1, "float64"), (4, 3, "float64"), (8, 1, "float64"), (8, 3, "float64"),
+    (4, 3, "float32"),
+])
+def test_eval_first_layer_closed_form_matches_folded_chain(connectivity, conv_layers, dtype,
+                                                           tile_rows, monkeypatch):
+    # the eval forward builds each tile from the first layer's closed form;
+    # the chain it replaced ran every pair from its embedding through all
+    # folded edge updates. Blocks of 1, 5, 7 and 8 nodes; float32 keeps
+    # its dtype, to its own precision.
+    lone = scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n")
+    grids = mixed_grids() + [lone]
+    n = max(g.n_free for g in grids) + 2
+    batch = stack_graphs([encode(g, n, connectivity) for g in grids], dtype=dtype)
+    config = ModelConfig(hidden=6, conv_layers=conv_layers, mlp_layers=2, n_max=n, dtype=dtype)
+    params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
+    for _, arr in params.named_running():
+        arr += np.random.default_rng(6).uniform(0.0, 0.5, size=arr.shape).astype(dtype)
+    monkeypatch.setattr(model, "EDGE_TILE_ROWS", tile_rows)
+    heat, _ = forward(batch, params, training=False)
+    want = reference_eval_heat(batch, params)
+    assert heat.dtype == config.np_dtype
+    assert np.all(heat[~batch.block_mask] == 0.0)
+    assert np.abs(heat - want).max() <= (1e-12 if dtype == "float64" else 1e-6)
 
 
 def test_eval_forward_peak_memory_is_about_one_edge_array():
@@ -460,9 +518,10 @@ def test_eval_forward_peak_memory_is_about_one_edge_array():
 
 @pytest.mark.parametrize("connectivity", [4, 8])
 def test_eval_heat_independent_of_tile_size(connectivity, monkeypatch):
-    # each pair tile rebuilds its edge chains from the embedding and the
-    # node features of every layer: tiles of one source row, ragged tiles
-    # and one tile per block give one heat, also for a one-free-cell map
+    # each pair tile rebuilds its edge chains from the first layer's closed
+    # form and the node features of every later layer: tiles of one source
+    # row, ragged tiles and one tile per block give one heat, also for a
+    # one-free-cell map
     lone = scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n")
     grids = [generate_scenario(3, 3, 1.0, 0.4, seed=2), lone,
              generate_scenario(3, 4, 1.0, 0.3, seed=5)]
@@ -615,18 +674,24 @@ def test_non_finite_edge_activation_detected(where):
             forward(batch, params, training=True)
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_overflow_in_first_layer_rows_detected(layers):
+@pytest.mark.parametrize("layers, training", [
+    pytest.param(1, True, id="1"), pytest.param(2, True, id="2"),
+    pytest.param(1, False, id="1-eval"), pytest.param(2, False, id="2-eval"),
+])
+def test_overflow_in_first_layer_rows_detected(layers, training):
     # the first layer's rows are built where they are read: in the second
-    # layer's gate and tiles, or, in a one-layer model, for the MLP head.
-    # Finite batch-norm parameters make each build overflow, as in
-    # test_non_finite_edge_activation_detected.
+    # layer's gate (and, in training, its tiles), or, in a one-layer model
+    # and in every eval forward, for the MLP head. Finite batch-norm
+    # parameters make each build overflow, as in
+    # test_non_finite_edge_activation_detected; in eval a running mean of
+    # -1 lifts every pre-activation by 1, past the overflow threshold.
     _, _, _, params, batch, _ = small_setup(layers=layers)
     params.layers[0].bn_edge.gamma[:] = 1e307
     params.layers[0].bn_edge.beta[:] = 1.7e308
+    params.layers[0].bn_edge.run_mean[:] = -1.0
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NonFiniteActivation, match="edge update"):
-            forward(batch, params, training=True)
+            forward(batch, params, training=training)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -689,6 +754,21 @@ def test_checkpoint_malformed_is_parse_error(tmp_path, old, new):
     bad.write_bytes(data)
     with pytest.raises(ParseError):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("name, index, value, reason", [
+    ("conv0.w_edge", (0, 0), np.nan, "non-finite value"),
+    ("mlp1.bias", (0,), -np.inf, "non-finite value"),
+    ("conv1.bn_edge.run_var", (0,), -1.0, "negative variance"),
+])
+def test_checkpoint_bad_value_is_parse_error(tmp_path, name, index, value, reason):
+    # such a file is well formed, but a forward on it would give NaN heat
+    _, _, _, params, _, _ = small_setup()
+    dict(params.named_trainable() + params.named_running())[name][index] = value
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(params, path)
+    with pytest.raises(ParseError, match=rf"tensor {re.escape(name)} holds a {reason}"):
+        load_checkpoint(path)
 
 
 def test_float32_mode_same_api():
