@@ -30,7 +30,9 @@ class ShapeMismatch(CppnetError, ValueError):
 
 
 class NonFiniteActivation(CppnetError, FloatingPointError):
-    """NaN or inf appeared in a training-mode forward pass."""
+    """Arithmetic overflowed, was invalid or divided by zero in a forward or
+    backward pass, in training or eval mode, or a forward's heat is not
+    finite."""
 
 
 class CacheConsumed(CppnetError, ValueError):

@@ -40,6 +40,8 @@ Conventions:
 """
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -188,34 +190,15 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
             np.ones(h, dtype=dt),
         )
 
-    layers = [
-        ConvLayer(
-            uniform((h, h), h),
-            uniform((h, h), h),
-            uniform((h, h), h),
-            uniform((h, h), h),
-            uniform((h, h), h),
-            bn(),
-            bn(),
-        )
-        for _ in range(config.conv_layers)
-    ]
+    layers = [ConvLayer(*(uniform((h, h), h) for _ in range(5)), bn(), bn())
+              for _ in range(config.conv_layers)]
     mlp_w, mlp_b = [], []
     for k in range(config.mlp_layers):
         out_dim = 1 if k == config.mlp_layers - 1 else h
         mlp_w.append(uniform((out_dim, h), h))
         mlp_b.append(uniform((out_dim,), h))
-    return ModelParams(
-        config,
-        uniform((h, 2), 2),
-        uniform((h,), 2),
-        uniform((half,), 1),
-        uniform((half,), 1),
-        uniform((half,), 1),
-        layers,
-        mlp_w,
-        mlp_b,
-    )
+    return ModelParams(config, uniform((h, 2), 2), uniform((h,), 2),
+                       *(uniform((half,), 1) for _ in range(3)), layers, mlp_w, mlp_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,17 +392,12 @@ def _first_preactivation(first: FirstEdges, tile, tile_nodes, nodes, rows, batch
 
 def _first_output(first: FirstEdges, t, run, local):
     """Turn centred pre-activation rows t, whose adjacency entries run sit
-    at rows local, into the output rows, in place; an overflow raises
-    NonFiniteActivation."""
-    try:
-        with np.errstate(over="raise"):
-            t *= first.k
-            t += first.beta
-            np.maximum(t, 0.0, out=t)
-            t += first.base
-            t[local] += first.lift[run]
-    except FloatingPointError as exc:
-        raise NonFiniteActivation(f"conv layer edge update: {exc}") from exc
+    at rows local, into the output rows, in place."""
+    t *= first.k
+    t += first.beta
+    np.maximum(t, 0.0, out=t)
+    t += first.base
+    t[local] += first.lift[run]
     return t
 
 
@@ -519,11 +497,6 @@ def _edge_update(e, w_edge, source, target, out=None):
     e += t
 
 
-def _check_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NonFiniteActivation("non-finite activation in conv layer")
-
-
 def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
                  fold_only: bool = False, base=None):
     """One residual gated graph-convolution layer on (N, h) node rows and
@@ -537,13 +510,12 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     cache conv_backward reads: the node inputs, the gate terms, the
     centred node pre-activations, the batch variances and, for the edges,
     the closed form or the layer input, the centred pre-activations and
-    the ReLU mask; a non-finite value raises NonFiniteActivation. In eval
-    mode the first layer builds its adjacency rows from its FirstEdges,
-    later layers update them in place, and the cache, from which mlp_head
-    builds every pair, is the FirstEdges or the folded edge terms (W', s',
-    r'). An eval layer whose node and adjacency outputs nothing reads (the
-    last one) passes fold_only: it computes only its cache and returns x
-    and e as they came.
+    the ReLU mask. In eval mode the first layer builds its adjacency rows
+    from its FirstEdges, later layers update them in place, and the cache,
+    from which mlp_head builds every pair, is the FirstEdges or the folded
+    edge terms (W', s', r'). An eval layer whose node and adjacency
+    outputs nothing reads (the last one) passes fold_only: it computes
+    only its cache and returns x and e as they came.
     """
     if fold_only:
         return x, e, (_fold_edge_bn(x, layer) if base is None
@@ -572,7 +544,6 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     bn_e = layer.bn_edge
     if base is not None:
         e_next, mu_e, var_e = _first_edge_forward(x, e, layer, batch, base, m_e)
-        _check_finite(x_next, mu_e, var_e, e_next.k, bn_e.beta)
         cache = {"first": e_next}
     else:
         # t = e W_edge^T + s_i + r_j in three tile sweeps (sum, centred
@@ -603,19 +574,13 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
             squares += np.einsum("ij,ij->j", tile, tile) - np.einsum("ij,ij->j", diag, diag)
         var_e = squares / m_e
         k = bn_e.gamma / np.sqrt(var_e + BN_EPS)
-        # a non-finite t shows in its sums; past this only an overflow can stop e_next
-        _check_finite(x_next, mu_e, var_e, k, bn_e.beta)
         relu_e = np.empty(t.shape, dtype=bool)
-        try:
-            with np.errstate(over="raise"):
-                for _, _, rows in _edge_tiles(batch):
-                    y = np.multiply(t[rows], k, out=buf[: rows.stop - rows.start])
-                    y += bn_e.beta
-                    np.greater(y, 0.0, out=relu_e[rows])
-                    np.maximum(y, 0.0, out=y)
-                    np.add(residual[rows], y, out=e_next[rows])
-        except FloatingPointError as exc:
-            raise NonFiniteActivation(f"conv layer edge update: {exc}") from exc
+        for _, _, rows in _edge_tiles(batch):
+            y = np.multiply(t[rows], k, out=buf[: rows.stop - rows.start])
+            y += bn_e.beta
+            np.greater(y, 0.0, out=relu_e[rows])
+            np.maximum(y, 0.0, out=y)
+            np.add(residual[rows], y, out=e_next[rows])
         cache = {"e": e, "t_c": t, "relu_e": relu_e}
     _update_running(bn_n, mu_n, var_n, len(s))
     _update_running(bn_e, mu_e, var_e, m_e)
@@ -835,31 +800,47 @@ def _mlp_backward(dlogits, e_final, params: ModelParams, batch: GraphBatch):
     return rows_out, grads_w, grads_b
 
 
+@contextmanager
+def _trapped(pass_name: str):
+    """The model's one non-finite rule: an overflow, invalid operation or
+    division by zero in the pass raises NonFiniteActivation naming it."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteActivation(f"{pass_name}: {exc}") from exc
+
+
 def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
     """Full forward pass: embeddings, conv stack, MLP head.
 
     Returns the heat graph (B, n, n) of edge probabilities, 0 on padding
     slots, and, in training mode, the cache that loss_and_grads consumes;
-    in eval mode the cache is None.
+    in eval mode the cache is None. Trapped arithmetic (_trapped) raises
+    NonFiniteActivation, and so does a heat entry that is not finite, as a
+    NaN parameter gives without trapping.
     """
     if batch.n > params.config.n_max:
         raise ShapeMismatch(
             f"batch capacity {batch.n} exceeds model n_max {params.config.n_max}"
         )
-    x, e = embed_input(batch, params)
-    layer_caches = []
-    last = len(params.layers) - 1
-    for k, layer in enumerate(params.layers):
-        # the first layer is computed in closed form; in eval the MLP head
-        # reads only the last layer's folded edge terms
-        x, e, cache = conv_forward(x, e, layer, batch, training,
-                                   fold_only=not training and k == last,
-                                   base=_pair_bias(params) if k == 0 else None)
-        layer_caches.append(cache)
-    if training:
-        rows = mlp_head(e, params, batch)
-    else:
-        rows = mlp_head(layer_caches[0], params, batch, layer_caches[1:])
+    with _trapped("forward"):
+        x, e = embed_input(batch, params)
+        layer_caches = []
+        last = len(params.layers) - 1
+        for k, layer in enumerate(params.layers):
+            # the first layer is computed in closed form; in eval the MLP
+            # head reads only the last layer's folded edge terms
+            x, e, cache = conv_forward(x, e, layer, batch, training,
+                                       fold_only=not training and k == last,
+                                       base=_pair_bias(params) if k == 0 else None)
+            layer_caches.append(cache)
+        if training:
+            rows = mlp_head(e, params, batch)
+        else:
+            rows = mlp_head(layer_caches[0], params, batch, layer_caches[1:])
+    if not np.isfinite(rows).all():
+        raise NonFiniteActivation("forward: a heat entry is not finite")
     heat = np.zeros(batch.block_mask.shape, dtype=rows.dtype)
     heat[batch.block_mask] = rows
     if not training:
@@ -892,44 +873,46 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
     it is consumed, so it serves one call: the call writes the gradient of
     the final edge rows over them, and a second call raises CacheConsumed.
     Returns (loss, grads) where grads is a ModelParams-shaped container
-    aligned with params.named_trainable().
+    aligned with params.named_trainable(). Trapped arithmetic (_trapped)
+    raises NonFiniteActivation.
     """
     if "edges" not in cache:
         raise CacheConsumed("forward cache already consumed by loss_and_grads; run forward again")
-    loss, w1, w0 = weighted_bce(heat, labels, mask)
-    batch: GraphBatch = cache["batch"]
+    with _trapped("backward"):
+        loss, w1, w0 = weighted_bce(heat, labels, mask)
+        batch: GraphBatch = cache["batch"]
 
-    p = heat
-    inside = mask & (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-    m = int(mask.sum())
-    dlogits = np.where(inside, (w0 * (1.0 - labels) * p - w1 * labels * (1.0 - p)) / m, 0.0)
+        p = heat
+        inside = mask & (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+        m = int(mask.sum())
+        dlogits = np.where(inside, (w0 * (1.0 - labels) * p - w1 * labels * (1.0 - p)) / m, 0.0)
 
-    # popping the activations frees each one as soon as its gradient is taken
-    de, mlp_gw, mlp_gb = _mlp_backward(
-        dlogits[batch.block_mask], cache.pop("edges"), params, batch
-    )
-    layer_caches = cache.pop("layers")
-    dx = np.zeros_like(layer_caches[-1]["x"])
-    layer_grads = []
-    for layer in reversed(params.layers):
-        dx, de, grads = conv_backward(dx, de, layer, batch, layer_caches.pop())
-        layer_grads.append(grads)
-    layer_grads.reverse()
+        # popping the activations frees each one as soon as its gradient is taken
+        de, mlp_gw, mlp_gb = _mlp_backward(
+            dlogits[batch.block_mask], cache.pop("edges"), params, batch
+        )
+        layer_caches = cache.pop("layers")
+        dx = np.zeros_like(layer_caches[-1]["x"])
+        layer_grads = []
+        for layer in reversed(params.layers):
+            dx, de, grads = conv_backward(dx, de, layer, batch, layer_caches.pop())
+            layer_grads.append(grads)
+        layer_grads.reverse()
 
-    # input embedding backward: lengths and indicators are 0 off the
-    # adjacency, so the first layer's edge gradient comes as its sum over
-    # all pair rows and its adjacency rows
-    half = params.config.hidden // 2
-    de_sum, de_adj = de
-    g_node_w = dx.T @ batch.coords
-    g_node_b = dx.sum(axis=0)
-    g_dist_w = batch.adj_len @ de_adj[:, :half]
-    g_dist_b = de_sum[:half]
-    g_ind_w = de_adj[:, half:].sum(axis=0)
+        # input embedding backward: lengths and indicators are 0 off the
+        # adjacency, so the first layer's edge gradient comes as its sum over
+        # all pair rows and its adjacency rows
+        half = params.config.hidden // 2
+        de_sum, de_adj = de
+        g_node_w = dx.T @ batch.coords
+        g_node_b = dx.sum(axis=0)
+        g_dist_w = batch.adj_len @ de_adj[:, :half]
+        g_dist_b = de_sum[:half]
+        g_ind_w = de_adj[:, half:].sum(axis=0)
 
-    grads = ModelParams(params.config, g_node_w, g_node_b, g_dist_w, g_dist_b, g_ind_w,
-                        layer_grads, mlp_gw, mlp_gb)
-    return loss, grads
+        grads = ModelParams(params.config, g_node_w, g_node_b, g_dist_w, g_dist_b, g_ind_w,
+                            layer_grads, mlp_gw, mlp_gb)
+        return loss, grads
 
 
 def heat_for_graph(graph: ScenarioGraph, params: ModelParams) -> np.ndarray:
@@ -978,15 +961,27 @@ def _config_from_line(line: bytes) -> ModelConfig:
         raise ParseError(f"invalid checkpoint config: {exc}") from exc
 
 
+def _element_count(config: ModelConfig) -> int:
+    """Elements of all the tensors init_params allocates for config."""
+    h = config.hidden
+    mlp = (config.mlp_layers - 1) * (h * h + h) + h + 1
+    return 3 * h + 3 * (h // 2) + config.conv_layers * (5 * h * h + 8 * h) + mlp
+
+
 def load_checkpoint(path) -> ModelParams:
     """Parameters of a checkpoint file. Any defect is a ParseError: an
     undecodable byte becomes U+FFFD, which no header field accepts, and a
-    value must be finite, a running variance also non-negative."""
+    value must be finite, a running variance also non-negative. A config
+    whose tensors need more than the file's bytes at 2 per element (the
+    smallest float dtype) is refused before anything is allocated."""
     with open(path, "rb") as fh:
         header = fh.readline().decode(errors="replace").strip()
         if header != CHECKPOINT_HEADER:
             raise FormatVersionMismatch(f"bad checkpoint header: {header!r}")
         config = _config_from_line(fh.readline())
+        need, left = 2 * _element_count(config), os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise ParseError(f"checkpoint config needs >= {need} tensor bytes, file has {left}")
         params = init_params(config, seed=0)
         expected = params.named_trainable() + params.named_running()
         for name, arr in expected:

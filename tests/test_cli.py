@@ -5,8 +5,10 @@ import pytest
 
 from cppnet.bench import load_records
 from cppnet.cli import main
-from cppnet.model import ModelConfig, init_params, save_checkpoint
+from cppnet.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from cppnet.scenario import load_scenarios
+
+from conftest import FIXTURE_CKPT
 
 
 def run(*argv):
@@ -268,6 +270,69 @@ def test_solve_checkpoint_with_bad_value_is_runtime_failure(tmp_path, capsys, na
     assert err.startswith("error:") and name in err
     assert "Traceback" not in err
     assert not (tmp_path / "t.traj").exists()
+
+
+def test_solve_checkpoint_wider_than_its_file_is_runtime_failure(tmp_path, capsys):
+    # a header-only file whose config line asks for 600-wide layers
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("cpp-scenario v1 2 2 1.0 0 0\n..\n..\n")
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_text('cpp-checkpoint v1\n{"conv_layers": 3, "dtype": "float64", "hidden": 600, '
+                    '"mlp_layers": 2, "n_max": 100}\n')
+    code = run("solve", "--scenario", str(scenario), "--model", str(ckpt),
+               "--out", str(tmp_path / "t.traj"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: checkpoint config needs")
+    assert not (tmp_path / "t.traj").exists()
+
+
+@pytest.fixture
+def overflowing_ckpt(tmp_path):
+    """A copy of the fixture checkpoint whose conv1 edge batch norm
+    overflows: every value is finite, so load_checkpoint accepts it."""
+    params = load_checkpoint(FIXTURE_CKPT)
+    params.layers[1].bn_edge.gamma[:] = 1e307
+    params.layers[1].bn_edge.beta[:] = 1.7e308
+    path = tmp_path / "overflow.ckpt"
+    save_checkpoint(params, path)
+    return path
+
+
+def test_solve_overflowing_checkpoint_is_runtime_failure(tmp_path, capsys, overflowing_ckpt):
+    # a forward on it would give NaN heat, and the planner would fall back
+    # on its tie-break rules
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("cpp-scenario v1 3 3 1.0 0 0\n...\n.#.\n...\n")
+    code = run("solve", "--scenario", str(scenario), "--model", str(overflowing_ckpt),
+               "--out", str(tmp_path / "t.traj"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: forward: overflow")
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.traj").exists()
+
+
+def test_bench_overflowing_checkpoint_saves_only_baseline_rows(tmp_path, capsys,
+                                                               overflowing_ckpt):
+    data = tmp_path / "data"
+    assert run(
+        "generate", "--count", "3", "--rows", "4", "--cols", "4", "--cell-size", "1",
+        "--density-min", "0", "--density-max", "0.3", "--seed", "1",
+        "--ratios", "0,0,1", "--out", str(data),
+    ) == 0
+    records = tmp_path / "records.csv"
+    capsys.readouterr()
+    code = run("bench", "--scenarios", str(data), "--model", str(overflowing_ckpt),
+               "--out", str(records))
+    err = capsys.readouterr().err
+    assert code == 2
+    keys = sorted(grid.content_hash() for grid in load_scenarios(data).split("test"))
+    failures = sorted(line.split()[2] for line in err.splitlines()
+                      if line.startswith("error: scenario") and "forward: overflow" in line)
+    assert failures == keys
+    assert "Traceback" not in err
+    assert [r.method for r in load_records(records)] == ["two_opt"] * 3
 
 
 @pytest.mark.parametrize("bad_pair", ["0 500", "-1 3"])

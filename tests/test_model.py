@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import json
 import re
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -656,22 +658,53 @@ def test_non_finite_activation_detected():
             forward(batch, params, training=True)
 
 
-@pytest.mark.parametrize("where", ["w_edge", "overflow"])
-def test_non_finite_edge_activation_detected(where):
-    # an infinite edge weight, and finite batch-norm parameters whose edge
-    # update overflows: k * t_c reaches 1e307 where t_c passes one standard
-    # deviation, and beta + 1e307 exceeds the float64 range. Both are in the
-    # last layer, whose edge rows no later conv layer sums.
-    _, _, _, params, batch, _ = small_setup()
-    layer = params.layers[-1]
-    if where == "overflow":
-        layer.bn_edge.gamma[:] = 1e307
-        layer.bn_edge.beta[:] = 1.7e308
-    else:
-        layer.w_edge[0, 0] = np.inf
+@pytest.mark.parametrize("where, training", [
+    pytest.param("w_edge", True, id="w_edge"),
+    pytest.param("conv2.bn_edge", True, id="overflow"),
+    pytest.param("conv2.bn_edge", False, id="conv2-edge-eval"),
+    pytest.param("conv1.bn_edge", True, id="conv1-edge"),
+    pytest.param("conv1.bn_edge", False, id="conv1-edge-eval"),
+    pytest.param("conv1.bn_node", True, id="conv1-node"),
+    pytest.param("conv1.bn_node", False, id="conv1-node-eval"),
+    pytest.param("mlp0", True, id="mlp0"),
+    pytest.param("mlp0", False, id="mlp0-eval"),
+    pytest.param("mlp_bias_nan", True, id="nan-bias"),
+    pytest.param("mlp_bias_nan", False, id="nan-bias-eval"),
+    pytest.param("edges", True, id="scaled-cache"),
+])
+def test_non_finite_edge_activation_detected(where, training):
+    # an infinite edge weight in the last layer; finite batch-norm
+    # parameters whose output overflows: k * t_c reaches 1e307 where t_c
+    # passes one standard deviation, and beta + 1e307 exceeds the float64
+    # range (in eval a running mean of -1 lifts every centred pre-activation
+    # by 1); the same scale and shift as the first MLP layer's weights and
+    # bias; a NaN output bias, which propagates quietly to the heat; and a
+    # training cache whose final edge rows are scaled past the float64
+    # range, which only the backward reads (scaled by 1e300 they still give
+    # finite gradients).
+    _, _, _, params, batch, labels = small_setup(layers=3)
+    if where == "w_edge":
+        params.layers[-1].w_edge[0, 0] = np.inf
+    elif where == "mlp0":
+        params.mlp_weights[0][:] = 1e307
+        params.mlp_biases[0][:] = 1.7e308
+    elif where == "mlp_bias_nan":
+        params.mlp_biases[-1][0] = np.nan
+    elif where.startswith("conv"):
+        layer, part = where.split(".")
+        bn = getattr(params.layers[int(layer[-1])], part)
+        bn.gamma[:] = 1e307
+        bn.beta[:] = 1.7e308
+        bn.run_mean[:] = -1.0
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NonFiniteActivation):
-            forward(batch, params, training=True)
+        if where == "edges":
+            heat, cache = forward(batch, params, training=True)
+            cache["edges"] *= 1e308
+            with pytest.raises(NonFiniteActivation, match="^backward: "):
+                loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+        else:
+            with pytest.raises(NonFiniteActivation, match="^forward: "):
+                forward(batch, params, training=training)
 
 
 @pytest.mark.parametrize("layers, training", [
@@ -690,7 +723,7 @@ def test_overflow_in_first_layer_rows_detected(layers, training):
     params.layers[0].bn_edge.beta[:] = 1.7e308
     params.layers[0].bn_edge.run_mean[:] = -1.0
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NonFiniteActivation, match="edge update"):
+        with pytest.raises(NonFiniteActivation, match="overflow"):
             forward(batch, params, training=training)
 
 
@@ -769,6 +802,29 @@ def test_checkpoint_bad_value_is_parse_error(tmp_path, name, index, value, reaso
     save_checkpoint(params, path)
     with pytest.raises(ParseError, match=rf"tensor {re.escape(name)} holds a {reason}"):
         load_checkpoint(path)
+
+
+def test_checkpoint_config_wider_than_its_file_refused_before_allocating(tmp_path):
+    # a header-only file whose config line asks for 600-wide layers: 49 MB
+    # of tensors, where even float16 ones would need 11.6 MB of file
+    config = ModelConfig(hidden=600)
+    path = tmp_path / "wide.ckpt"
+    path.write_bytes(f"{model.CHECKPOINT_HEADER}\n".encode()
+                     + json.dumps(asdict(config), sort_keys=True).encode() + b"\n")
+    assert path.stat().st_size == 103
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="needs >= 11556602 tensor bytes, file has 0"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for config in (config, ModelConfig(hidden=4, conv_layers=1, mlp_layers=1),
+                   ModelConfig(hidden=8, conv_layers=4, mlp_layers=3)):
+        params = init_params(config, seed=0)
+        assert model._element_count(config) == \
+            sum(arr.size for _, arr in params.named_trainable() + params.named_running())
 
 
 def test_float32_mode_same_api():
