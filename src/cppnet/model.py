@@ -25,11 +25,15 @@ Conventions:
   - In training mode, batch-norm statistics are pooled over all blocks:
     over real nodes and over real ordered pairs (i != j); the first
     layer's follow from per-block node sums. Every later layer sums
-    cache-sized edge tiles, and the cache holds, per such layer, the
-    centred edge pre-activations t_c, the edge ReLU mask and its output
-    rows, the next layer's input. The final edge rows stay for the MLP
-    backward, which computes each tile's hidden rows again and writes the
-    edge gradient over those rows.
+    cache-sized edge tiles into one (P, h) edge buffer for the whole
+    forward: the second layer builds the first layer's rows into it, and
+    each layer adds relu(k t_c + beta) to it in place, so it ends as the
+    final edge rows. The cache holds, per such layer, the centred edge
+    pre-activations t_c and the edge ReLU mask; its input rows are
+    described (HeldEdges) as the closed form plus the layers below it, and
+    its backward rebuilds them tile by tile (_input_tile). The MLP
+    backward computes each tile's hidden rows again and writes the edge
+    gradient over the final rows in the buffer.
   - In eval mode, under the running statistics, the forward is depth-first
     and holds no (P, h) array: the conv layers run on the (A, h) adjacency
     rows only, which are all the node features read, and each past the
@@ -320,11 +324,12 @@ def embed_input(batch: GraphBatch, params: ModelParams):
                               axis=1)
 
 
-def _update_running(bn: BatchNorm, mean, var, m: int) -> None:
-    """Momentum update from the batch mean and biased variance over m entries."""
-    bn.run_mean[...] = (1 - BN_MOMENTUM) * bn.run_mean + BN_MOMENTUM * mean
+def _running_update(bn: BatchNorm, mean, var, m: int):
+    """The momentum update of bn's running mean and variance from the batch
+    mean and biased variance over m entries, as (mean, variance)."""
     unbiased = var * (m / (m - 1)) if m > 1 else var
-    bn.run_var[...] = (1 - BN_MOMENTUM) * bn.run_var + BN_MOMENTUM * unbiased
+    return ((1 - BN_MOMENTUM) * bn.run_mean + BN_MOMENTUM * mean,
+            (1 - BN_MOMENTUM) * bn.run_var + BN_MOMENTUM * unbiased)
 
 
 def _gate_forward(e_adj, x, layer: ConvLayer, batch: GraphBatch):
@@ -351,11 +356,23 @@ def _edge_tiles(batch: GraphBatch):
                    slice(edges.start + i * nb, edges.start + k * nb))
 
 
+def _tile_rows(batch: GraphBatch):
+    """Rows of the largest edge tile from _edge_tiles."""
+    return min(batch.n_pairs, max(EDGE_TILE_ROWS, batch.n))
+
+
 def _tile_buffers(batch: GraphBatch, count: int, h: int, dtype):
     """count blocks of scratch rows for the largest edge tile, in one
     allocation: glibc's malloc handed two separate 0.8 MB blocks back to the
     system after every call, so each 10x10 heat took about 370 page faults."""
-    return np.empty((count, min(batch.n_pairs, max(EDGE_TILE_ROWS, batch.n)), h), dtype=dtype)
+    return np.empty((count, _tile_rows(batch), h), dtype=dtype)
+
+
+def _tile_ones(batch: GraphBatch, dtype):
+    """A ones vector as long as the largest edge tile: the training sweeps
+    take their column sums as products with it, a matrix-vector product
+    about 3.5x faster than ndarray.sum(axis=0) on a 2000 x 50 tile."""
+    return np.ones(_tile_rows(batch), dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,6 +397,27 @@ class FirstEdges:
         return self.u.dtype
 
 
+@dataclass(frozen=True, eq=False)
+class HeldEdges:
+    """The (P, h) output edge rows of a training conv layer past the first.
+    rows is the forward's one edge buffer, which holds them until the next
+    layer updates it in place. start and held describe them for a rebuild:
+    they are the rows of start (FirstEdges, or an array a caller passed
+    in, never written) plus relu(k * t_c + beta) for each (t_c, k, beta)
+    in held, one per layer since, added in that order (_input_tile)."""
+
+    rows: np.ndarray
+    start: object
+    held: tuple
+
+
+def _edge_relu(t_c, k, beta, out):
+    """relu(k * t_c + beta) of centred pre-activation rows, into out."""
+    y = np.multiply(t_c, k, out=out)
+    y += beta
+    return np.maximum(y, 0.0, out=y)
+
+
 def _first_preactivation(first: FirstEdges, tile, tile_nodes, nodes, rows, batch: GraphBatch):
     """Write the centred pre-activations of an edge tile from _edge_tiles
     into tile; returns the tile's adjacency entries (_tile_adjacency)."""
@@ -401,10 +439,17 @@ def _first_output(first: FirstEdges, t, run, local):
     return t
 
 
-def _input_tile(e, tile_nodes, nodes, rows, out, batch: GraphBatch):
+def _input_tile(e, tile_nodes, nodes, rows, out, batch: GraphBatch, work=None):
     """An edge tile from _edge_tiles of (P, h) edge rows: the rows of the
-    array e, or, when e is the first layer's FirstEdges, the tile built
-    into out."""
+    array e; when e is the first layer's FirstEdges, the tile built into
+    out; when e is HeldEdges, the tile rebuilt into out from its start and
+    its held layers, each relu term computed in work, in the operations
+    and order of the forward, so the rows are the buffer's bit for bit."""
+    if isinstance(e, HeldEdges):
+        tile = _input_tile(e.start, tile_nodes, nodes, rows, out, batch)
+        for t_c, k, beta in e.held:
+            tile = np.add(tile, _edge_relu(t_c[rows], k, beta, work[: len(out)]), out=out)
+        return tile
     if not isinstance(e, FirstEdges):
         return e[rows]
     run, local = _first_preactivation(e, out, tile_nodes, nodes, rows, batch)
@@ -504,25 +549,32 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     rows in eval mode. The first layer passes base, the input row of every
     pair off the adjacency (_pair_bias): its e is then embed_input's (A, h)
     adjacency embedding, and its edge rows are held in closed form, as
-    FirstEdges, in training its next e.
+    FirstEdges, in training its next e. A later training layer returns
+    HeldEdges: its output rows in the forward's one edge buffer, which it
+    updates in place when e is HeldEdges and otherwise allocates, building
+    a FirstEdges e into it; an array e is read, never written.
 
     Returns the next node and edge features plus, in training mode, the
     cache conv_backward reads: the node inputs, the gate terms, the
-    centred node pre-activations, the batch variances and, for the edges,
-    the closed form or the layer input, the centred pre-activations and
-    the ReLU mask. In eval mode the first layer builds its adjacency rows
-    from its FirstEdges, later layers update them in place, and the cache,
-    from which mlp_head builds every pair, is the FirstEdges or the folded
-    edge terms (W', s', r'). An eval layer whose node and adjacency
-    outputs nothing reads (the last one) passes fold_only: it computes
-    only its cache and returns x and e as they came.
+    centred node pre-activations, the batch means and variances and, for
+    the edges, the closed form or the layer input e, from which
+    _input_tile rebuilds the input rows, the centred pre-activations and
+    the ReLU mask; forward moves the running statistics by the batch
+    statistics once its checks pass. In eval mode the first layer builds
+    its adjacency rows from its FirstEdges, later layers update them in
+    place, and the cache, from which mlp_head builds every pair, is the
+    FirstEdges or the folded edge terms (W', s', r'). An eval layer whose
+    node and adjacency outputs nothing reads (the last one) passes
+    fold_only: it computes only its cache and returns x and e as they
+    came.
     """
     if fold_only:
         return x, e, (_fold_edge_bn(x, layer) if base is None
                       else _first_edge_forward(x, e, layer, batch, base)[0])
     if training and not batch.pair_mask.any():
         raise DegenerateBatch("no real pair for the edge batch statistics")
-    adjacent = _adjacent_rows(e, batch) if training and base is None else e
+    e_in_rows = e.rows if isinstance(e, HeldEdges) else e
+    adjacent = _adjacent_rows(e_in_rows, batch) if training and base is None else e
     sg_vals, den, raw, v, agg = _gate_forward(adjacent, x, layer, batch)
 
     s = x @ layer.w_self.T + agg
@@ -548,23 +600,26 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     else:
         # t = e W_edge^T + s_i + r_j in three tile sweeps (sum, centred
         # squares, output); the diagonal (i == j) rows are left out of the
-        # sums. A FirstEdges input is built into the output rows, where the
-        # last sweep adds the residual.
+        # sums. The output rows go to the forward's one edge buffer: a
+        # HeldEdges input's, updated in place, or a new one into which the
+        # first sweep builds a FirstEdges input; a caller's array is read,
+        # never written.
         h = x.shape[1]
         source = x @ layer.w_source.T
         target = x @ layer.w_target.T
         t = np.empty((batch.n_pairs, h), dtype=x.dtype)
-        e_next = np.empty_like(t)
-        residual = e_next if isinstance(e, FirstEdges) else e
+        edges = e_in_rows if isinstance(e, HeldEdges) else np.empty_like(t)
+        residual = edges if isinstance(e, FirstEdges) else e_in_rows
         buf, = _tile_buffers(batch, 1, h, x.dtype)
+        ones = _tile_ones(batch, x.dtype)
         total = np.zeros(h, dtype=x.dtype)
         for tile_nodes, nodes, rows in _edge_tiles(batch):
-            e_in = _input_tile(e, tile_nodes, nodes, rows, e_next[rows], batch)
+            e_in = _input_tile(e_in_rows, tile_nodes, nodes, rows, edges[rows], batch)
             tile = np.matmul(e_in, layer.w_edge.T, out=t[rows])
             block = tile.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
             block += source[tile_nodes, None, :]
             block += target[None, nodes, :]
-            total += tile.sum(axis=0) - _diagonal(tile, tile_nodes, nodes).sum(axis=0)
+            total += ones[: len(tile)] @ tile - _diagonal(tile, tile_nodes, nodes).sum(axis=0)
         mu_e = total / m_e
         squares = np.zeros(h, dtype=x.dtype)
         for tile_nodes, nodes, rows in _edge_tiles(batch):
@@ -576,17 +631,15 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
         k = bn_e.gamma / np.sqrt(var_e + BN_EPS)
         relu_e = np.empty(t.shape, dtype=bool)
         for _, _, rows in _edge_tiles(batch):
-            y = np.multiply(t[rows], k, out=buf[: rows.stop - rows.start])
-            y += bn_e.beta
+            y = _edge_relu(t[rows], k, bn_e.beta, buf[: rows.stop - rows.start])
             np.greater(y, 0.0, out=relu_e[rows])
-            np.maximum(y, 0.0, out=y)
-            np.add(residual[rows], y, out=e_next[rows])
+            np.add(residual[rows], y, out=edges[rows])
+        start, held = (e.start, e.held) if isinstance(e, HeldEdges) else (e, ())
+        e_next = HeldEdges(edges, start, held + ((t, k, bn_e.beta),))
         cache = {"e": e, "t_c": t, "relu_e": relu_e}
-    _update_running(bn_n, mu_n, var_n, len(s))
-    _update_running(bn_e, mu_e, var_e, m_e)
 
     cache.update(x=x, gate=(sg_vals, den, raw, v), mu_n=mu_n, var_n=var_n, s_c=s_c,
-                 relu_n=y_n > 0, var_e=var_e)
+                 relu_n=y_n > 0, mu_e=mu_e, var_e=var_e)
     return x_next, e_next, cache
 
 
@@ -597,6 +650,14 @@ def _bn_backward_terms(bn: BatchNorm, var, g_sum, gc_sum, m: int):
     std = np.sqrt(var + BN_EPS)
     k = bn.gamma / std
     return k, k * g_sum / m, k * gc_sum / (m * (var + BN_EPS)), gc_sum / std
+
+
+def _source_target_sums(tile, tile_nodes, ones):
+    """An edge tile's sums per source row, over its targets, and per
+    target, over its source rows, as products with the ones vector."""
+    n_src, h = tile_nodes.stop - tile_nodes.start, tile.shape[1]
+    block = tile.reshape(n_src, -1, h)
+    return ones[: block.shape[1]] @ block, (ones[:n_src] @ tile.reshape(n_src, -1)).reshape(-1, h)
 
 
 def _first_edge_backward(de_next, layer: ConvLayer, batch: GraphBatch, first: FirstEdges,
@@ -613,6 +674,7 @@ def _first_edge_backward(de_next, layer: ConvLayer, batch: GraphBatch, first: Fi
     u, r, d = first.u, first.r, first.d
     h = u.shape[1]
     t_buf, ge_buf = _tile_buffers(batch, 2, h, u.dtype)
+    ones = _tile_ones(batch, u.dtype)
     ge_i = np.empty_like(u)
     ge_j = np.zeros_like(u)
     ge_adj = np.empty_like(d)
@@ -628,12 +690,11 @@ def _first_edge_backward(de_next, layer: ConvLayer, batch: GraphBatch, first: Fi
         y += first.beta
         ge = np.multiply(de_rows, y > 0.0, out=y)
         gc_sum += np.einsum("ij,ij->j", ge, t0)
-        block = ge.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
-        ge_i[tile_nodes] = block.sum(axis=1)
-        ge_j[nodes] += block.sum(axis=0)
+        ge_i[tile_nodes], by_target = _source_target_sums(ge, tile_nodes, ones)
+        ge_j[nodes] += by_target
         ge_adj[run] = ge[local]
         de_adj[run] = de_rows[local]
-        de_sum += de_rows.sum(axis=0)
+        de_sum += ones[:n_rows] @ de_rows
     # the diagonal rows of de_next are 0, so ge's sums are over i != j
     g_sum = ge_i.sum(axis=0)
     k, a, c, d_gamma = _bn_backward_terms(layer.bn_edge, var_e, g_sum, gc_sum, m_e)
@@ -661,7 +722,9 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     ConvLayer whose batch-norm running fields are 0. The edge gradient
     accumulates in the rows of de_next; the first layer, held in closed
     form, returns it as (its sum over all pair rows, its (A, h) adjacency
-    rows), all the input embedding's backward reads."""
+    rows), all the input embedding's backward reads. A later layer reads
+    its input rows for dL/dW_edge as _input_tile rebuilds them from the
+    cache's description, tile by tile."""
     x = cache["x"]
     sg_vals, den, raw, v = cache["gate"]
     h = x.shape[1]
@@ -675,12 +738,13 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
         # edge branch: e_next = e + relu(k * t_c + beta); the pooled sums
         # come first, over every row (the diagonal rows of de_next are 0)
         e, t_c, relu_e = cache["e"], cache["t_c"], cache["relu_e"]
-        ge_buf, work = _tile_buffers(batch, 2, h, x.dtype)
+        ge_buf, work, rebuild = _tile_buffers(batch, 3, h, x.dtype)
+        ones = _tile_ones(batch, x.dtype)
         g_sum = np.zeros(h, dtype=x.dtype)
         gc_sum = np.zeros(h, dtype=x.dtype)
         for _, _, rows in _edge_tiles(batch):
             ge = np.multiply(de_next[rows], relu_e[rows], out=ge_buf[: rows.stop - rows.start])
-            g_sum += ge.sum(axis=0)
+            g_sum += ones[: len(ge)] @ ge
             gc_sum += np.einsum("ij,ij->j", ge, t_c[rows])
         k, a, c, d_gamma = _bn_backward_terms(layer.bn_edge, cache["var_e"], g_sum, gc_sum, m_e)
         d_bn_edge = BatchNorm(d_gamma, g_sum, np.zeros(h), np.zeros(h))
@@ -694,12 +758,12 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
             dt -= a
             dt -= np.multiply(t_c[rows], c, out=work[:n_rows])
             _diagonal(dt, tile_nodes, nodes)[...] = 0.0
-            d_w_edge += dt.T @ _input_tile(e, tile_nodes, nodes, rows, work[:n_rows], batch)
+            d_w_edge += dt.T @ _input_tile(e, tile_nodes, nodes, rows, work[:n_rows], batch,
+                                           rebuild)
             de_rows = de_next[rows]   # de = de_next + dt W_edge, in place
             de_rows += np.matmul(dt, layer.w_edge, out=work[:n_rows])
-            block = dt.reshape(tile_nodes.stop - tile_nodes.start, -1, h)
-            dt_i[tile_nodes] = block.sum(axis=1)
-            dt_j[nodes] += block.sum(axis=0)
+            dt_i[tile_nodes], by_target = _source_target_sums(dt, tile_nodes, ones)
+            dt_j[nodes] += by_target
         de = de_next
     dx = dx_next + dt_i @ layer.w_source + dt_j @ layer.w_target
 
@@ -817,8 +881,10 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
     Returns the heat graph (B, n, n) of edge probabilities, 0 on padding
     slots, and, in training mode, the cache that loss_and_grads consumes;
     in eval mode the cache is None. Trapped arithmetic (_trapped) raises
-    NonFiniteActivation, and so does a heat entry that is not finite, as a
-    NaN parameter gives without trapping.
+    NonFiniteActivation, and so does a heat entry or an updated running
+    statistic that is not finite, as a NaN parameter gives without
+    trapping. A training forward moves the running statistics only once
+    all of these checks have passed.
     """
     if batch.n > params.config.n_max:
         raise ShapeMismatch(
@@ -836,7 +902,14 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
                                        base=_pair_bias(params) if k == 0 else None)
             layer_caches.append(cache)
         if training:
-            rows = mlp_head(e, params, batch)
+            edges = e.rows if isinstance(e, HeldEdges) else e
+            rows = mlp_head(edges, params, batch)
+            m_e = int(batch.pair_mask.sum())
+            running = []
+            for layer, lc in zip(params.layers, layer_caches):
+                bn_n, bn_e = layer.bn_node, layer.bn_edge
+                running.append((bn_n, _running_update(bn_n, lc["mu_n"], lc["var_n"], len(lc["x"]))))
+                running.append((bn_e, _running_update(bn_e, lc["mu_e"], lc["var_e"], m_e)))
         else:
             rows = mlp_head(layer_caches[0], params, batch, layer_caches[1:])
     if not np.isfinite(rows).all():
@@ -845,7 +918,12 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
     heat[batch.block_mask] = rows
     if not training:
         return heat, None
-    return heat, {"batch": batch, "layers": layer_caches, "edges": e}
+    if not all(np.isfinite(a).all() for _, update in running for a in update):
+        raise NonFiniteActivation("forward: a running batch-norm statistic is not finite")
+    for bn, (run_mean, run_var) in running:
+        bn.run_mean[...] = run_mean
+        bn.run_var[...] = run_var
+    return heat, {"batch": batch, "layers": layer_caches, "edges": edges}
 
 
 def weighted_bce(heat, labels, mask):

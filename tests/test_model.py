@@ -136,8 +136,11 @@ def test_conv_zero_features_stay_zero():
     _, _, _, params, batch, _ = small_setup()
     x0, _ = embed_input(batch, params)
     x, e = np.zeros_like(x0), np.zeros((batch.n_pairs, params.config.hidden))
-    x1, e1, _ = conv_forward(x, e, params.layers[0], batch, training=True)
-    # the outputs hold exactly the real nodes and the real block
+    x1, held, _ = conv_forward(x, e, params.layers[0], batch, training=True)
+    # the outputs hold exactly the real nodes and the real block; the edge
+    # rows are in the forward's buffer, not in the caller's array
+    e1 = held.rows
+    assert e1 is not e
     assert x1.shape == x0.shape and e1.shape == e.shape
     assert e1.shape[0] == batch.block_mask.sum()
     assert np.allclose(x1, 0.0)
@@ -243,12 +246,13 @@ def test_gradients_match_finite_differences():
     assert_gradients_match(batch, labels, randomize_params(params, np.random.default_rng(0)))
 
 
-@pytest.mark.parametrize("conv_layers, mlp_layers", [(2, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("conv_layers, mlp_layers", [(2, 1), (2, 3), (3, 2), (4, 2)])
 def test_gradients_match_finite_differences_at_depth(conv_layers, mlp_layers):
     # the MLP backward writes each product over the layer input it follows
     # from, the last one over the final edge rows: a one-layer head (the
     # rank-1 product is the whole backward), a three-layer head and a third
-    # conv layer must all still give the exact gradient
+    # conv layer must all still give the exact gradient; a fourth conv
+    # layer's backward rebuilds its input rows from two held layers
     _, _, _, params, batch, labels = small_setup(layers=conv_layers, mlp_layers=mlp_layers)
     assert_gradients_match(batch, labels, randomize_params(params, np.random.default_rng(0)))
 
@@ -332,15 +336,21 @@ def test_mixed_size_batch_independent_of_capacity(connectivity):
         assert np.max(np.abs(ga - gb)) < 1e-10, name
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_training_step_independent_of_tile_size(connectivity, monkeypatch):
+@pytest.mark.parametrize("connectivity, conv_layers", [
+    pytest.param(4, 2, id="4"), pytest.param(8, 2, id="8"),
+    pytest.param(4, 3, id="4-3"), pytest.param(8, 3, id="8-3"),
+    pytest.param(4, 4, id="4-4"), pytest.param(8, 4, id="8-4"),
+])
+def test_training_step_independent_of_tile_size(connectivity, conv_layers, monkeypatch):
     # tiles of one source row, ragged tiles (20 rows: 4 of the 5-node
     # block's rows, 2 of the 7-node block's) and one tile per block must
-    # give the same loss, gradients and running statistics
+    # give the same loss, gradients and running statistics; past two conv
+    # layers the backward rebuilds each layer's input tiles from the held
+    # layers below it
     batch, labels = mixed_batch(connectivity)
     sizes = sorted(nb for nb, _, _ in batch.blocks)
     assert sizes == [5, 7, 8]
-    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=batch.n)
+    config = ModelConfig(hidden=6, conv_layers=conv_layers, mlp_layers=2, n_max=batch.n)
     seeded = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
 
     def step(tile_rows):
@@ -415,6 +425,48 @@ def test_first_layer_closed_form_matches_tile_path(connectivity, conv_layers, dt
     for (name, g), (_, w) in zip(got, want):
         assert g.dtype == w.dtype == config.np_dtype, name
         assert np.abs(g - w).max() <= rel * max(np.abs(w).max(), 1e-3), name
+
+
+@pytest.mark.parametrize("tile_rows", [1, 20, 10**6])
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_backward_rebuilds_layer_inputs_bit_for_bit(connectivity, tile_rows, monkeypatch):
+    # the forward keeps one edge buffer, so the backward of the third and
+    # fourth conv layers rebuilds each of their input tiles from the first
+    # layer's closed form and the one or two held layers after it. Every
+    # rebuilt tile must equal, byte for byte, the output rows that a forward
+    # keeping each layer's output array gave the layer below.
+    batch, labels = mixed_batch(connectivity)
+    config = ModelConfig(hidden=6, conv_layers=4, mlp_layers=2, n_max=batch.n)
+    params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
+    monkeypatch.setattr(model, "EDGE_TILE_ROWS", tile_rows)
+    conv_forward, input_tile = model.conv_forward, model._input_tile
+    outputs, rebuilt = {}, []
+
+    def keeping_forward(*args, **kwargs):
+        x, e, cache = conv_forward(*args, **kwargs)
+        if isinstance(e, model.HeldEdges):
+            outputs[len(e.held)] = e.rows.copy()
+        return x, e, cache
+
+    def recording_tile(e, tile_nodes, nodes, rows, out, batch, work=None):
+        tile = input_tile(e, tile_nodes, nodes, rows, out, batch, work)
+        if isinstance(e, model.HeldEdges):
+            rebuilt.append((len(e.held), rows, tile.copy()))
+        return tile
+
+    monkeypatch.setattr(model, "conv_forward", keeping_forward)
+    heat, cache = forward(batch, params, training=True)
+    monkeypatch.setattr(model, "_input_tile", recording_tile)
+    loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+    assert sorted(outputs) == [1, 2, 3]
+    assert sorted({held for held, _, _ in rebuilt}) == [1, 2]
+    for held in (1, 2):
+        covered = np.zeros(batch.n_pairs, dtype=int)
+        for count, rows, tile in rebuilt:
+            if count == held:
+                assert tile.tobytes() == outputs[held][rows].tobytes(), (held, rows)
+                covered[rows] += 1
+        assert np.all(covered == 1), held
 
 
 def test_eval_batch_norm_folds_running_statistics():
@@ -539,13 +591,15 @@ def test_eval_heat_independent_of_tile_size(connectivity, monkeypatch):
         assert np.all(heat[~batch.block_mask] == 0.0)
 
 
-def test_training_step_peak_memory_is_about_five_edge_arrays():
-    # a training step holds, per conv layer past the first, whose rows are
-    # held in closed form, its centred pre-activations, its ReLU mask and
-    # its output rows; the final edge rows become their own gradient and
-    # the MLP head keeps no hidden row. Two 12x12 maps, about 34 000 pair
-    # rows (13.6 MB per (P, h) array), make the edge arrays the whole
-    # footprint.
+def test_training_step_peak_memory_is_about_four_edge_arrays():
+    # a training step holds one edge buffer, which every conv layer past
+    # the first, whose rows are held in closed form, updates in place, and,
+    # per such layer, its centred pre-activations and its ReLU mask; the
+    # backward rebuilds each layer's input rows tile by tile from these,
+    # the final edge rows become their own gradient and the MLP head keeps
+    # no hidden row. Two 12x12 maps, about 34 000 pair rows (13.6 MB per
+    # (P, h) array), make the edge arrays the whole footprint: 3.92 arrays
+    # at the peak, against 4.86 when each layer kept its output rows.
     grids = [generate_scenario(12, 12, 1.0, 0.0, seed=0),
              generate_scenario(12, 12, 1.0, 0.2, seed=1)]
     n = max(g.n_free for g in grids)
@@ -562,7 +616,7 @@ def test_training_step_peak_memory_is_about_five_edge_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
+    assert peak <= 4.25 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
 
 
 def test_eval_forward_keeps_no_edge_array():
@@ -640,6 +694,31 @@ def test_training_forward_without_pairs_is_degenerate():
         assert np.array_equal(arr, old), name
     heat, _ = forward(stack_graphs([lone]), params, training=False)
     assert 0.0 < heat[0, 0, 0] < 1.0
+
+
+@pytest.mark.parametrize("layers, where", [
+    pytest.param(2, "conv0", id="nan-weight"),
+    pytest.param(3, "mlp0", id="mlp-overflow"),
+    pytest.param(2, "conv1", id="nan-last-node-weight"),
+])
+def test_failed_training_forward_leaves_running_statistics(layers, where):
+    # the running statistics move only once the forward has passed its
+    # checks: a NaN node weight in the first layer reaches the heat quietly,
+    # the first MLP layer overflows after every conv layer has taken its
+    # batch statistics, and a NaN node weight in the last layer reaches
+    # only that layer's node statistics, never the heat
+    _, _, _, params, batch, _ = small_setup(layers=layers)
+    if where == "mlp0":
+        params.mlp_weights[0][:] = 1e307
+        params.mlp_biases[0][:] = 1.7e308
+    else:
+        params.layers[int(where[-1])].w_self[0, 0] = np.nan
+    before = [arr.tobytes() for _, arr in params.named_running()]
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteActivation, match="^forward: "):
+            forward(batch, params, training=True)
+    for (name, arr), old in zip(params.named_running(), before):
+        assert arr.tobytes() == old, name
 
 
 def test_forward_rejects_overcapacity_batch():
