@@ -78,7 +78,7 @@ class ModelConfig:
     conv_layers: int = 3
     mlp_layers: int = 2
     n_max: int = 100
-    dtype: str = "float64"
+    dtype: str = "float32"
 
     def __post_init__(self):
         if self.hidden < 2 or self.hidden % 2:
@@ -1048,16 +1048,17 @@ def _element_count(config: ModelConfig) -> int:
 
 def load_checkpoint(path) -> ModelParams:
     """Parameters of a checkpoint file. Any defect is a ParseError: an
-    undecodable byte becomes U+FFFD, which no header field accepts, and a
-    value must be finite, a running variance also non-negative. A config
-    whose tensors need more than the file's bytes at 2 per element (the
-    smallest float dtype) is refused before anything is allocated."""
+    undecodable byte becomes U+FFFD, which no header field accepts, every
+    tensor must be of the config's dtype, and a value must be finite, a
+    running variance also non-negative. A config whose tensors need more
+    than the file's bytes is refused before anything is allocated."""
     with open(path, "rb") as fh:
         header = fh.readline().decode(errors="replace").strip()
         if header != CHECKPOINT_HEADER:
             raise FormatVersionMismatch(f"bad checkpoint header: {header!r}")
         config = _config_from_line(fh.readline())
-        need, left = 2 * _element_count(config), os.fstat(fh.fileno()).st_size - fh.tell()
+        itemsize = np.dtype(config.np_dtype).itemsize
+        need, left = itemsize * _element_count(config), os.fstat(fh.fileno()).st_size - fh.tell()
         if need > left:
             raise ParseError(f"checkpoint config needs >= {need} tensor bytes, file has {left}")
         params = init_params(config, seed=0)
@@ -1075,8 +1076,9 @@ def load_checkpoint(path) -> ModelParams:
                 nbytes = int(parts[4])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad tensor header for {name}: {exc}") from exc
-            if dtype.kind != "f" or shape != arr.shape or nbytes != arr.size * dtype.itemsize:
-                raise ParseError(f"tensor header {line!r}: not a float tensor of shape {arr.shape}")
+            if dtype != arr.dtype or shape != arr.shape or nbytes != arr.nbytes:
+                raise ParseError(f"tensor header {line!r}: not a {config.dtype} tensor "
+                                 f"of shape {arr.shape}")
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise ParseError(f"tensor {name} truncated")

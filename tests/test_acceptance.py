@@ -109,6 +109,7 @@ def test_criterion_1_gradient_correctness(rng):
             conv_layers=int(rng.integers(1, 3)),
             mlp_layers=2,
             n_max=n_max,
+            dtype="float64",
         )
         params = randomize_params(
             init_params(config, seed=int(rng.integers(2**31))), rng

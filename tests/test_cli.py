@@ -234,13 +234,20 @@ def test_solve_invalid_scenario_is_runtime_failure(tmp_path, capsys, grid_rows, 
     assert not (tmp_path / "t.traj").exists()
 
 
-@pytest.mark.parametrize("old, new", [(b" <f8 ", b" zz! "), (b'"dtype"', b'"dtypo"')])
+@pytest.mark.parametrize("old, new", [
+    (b" <f8 ", b" zz! "),
+    (b'"dtype"', b'"dtypo"'),
+    (b'"dtype": "float64"', b'"dtype": "float32"'),   # float64 tensors under a float32 config
+])
 def test_solve_malformed_checkpoint_is_runtime_failure(tmp_path, capsys, old, new):
     scenario = tmp_path / "s.txt"
     scenario.write_text("cpp-scenario v1 2 2 1.0 0 0\n..\n..\n")
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(init_params(ModelConfig(hidden=4, conv_layers=1, n_max=16), seed=0), ckpt)
-    ckpt.write_bytes(ckpt.read_bytes().replace(old, new, 1))
+    config = ModelConfig(hidden=4, conv_layers=1, n_max=16, dtype="float64")
+    save_checkpoint(init_params(config, seed=0), ckpt)
+    data = ckpt.read_bytes()
+    assert old in data
+    ckpt.write_bytes(data.replace(old, new, 1))
     code = run("solve", "--scenario", str(scenario), "--model", str(ckpt),
                "--out", str(tmp_path / "t.traj"))
     err = capsys.readouterr().err

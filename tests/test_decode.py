@@ -20,7 +20,7 @@ from cppnet.decode import (
 )
 from cppnet.errors import CapacityExceeded, FormatVersionMismatch, ParseError
 from cppnet.graph import encode
-from cppnet.model import ModelConfig, init_params, load_checkpoint
+from cppnet.model import ModelConfig, heat_for_graph, init_params, load_checkpoint
 from cppnet.oracle import Tour, cost_matrix, label_pairs, nearest_neighbor_tour, pairs_to_matrix, two_opt
 from cppnet.scenario import GridMap, dataset_build, generate_scenario, weighted_steps
 
@@ -351,19 +351,49 @@ GOLDEN_PLANS = {
 }
 
 
+def fixture_for(rows, cols):
+    """The trained fixture with room for every free cell of a rows x cols
+    map: n_max is capacity only, and the 20x20 maps need more than the
+    fixture's."""
+    params = load_checkpoint(FIXTURE_CKPT)
+    config = dataclasses.replace(params.config, n_max=max(params.config.n_max, rows * cols))
+    return dataclasses.replace(params, config=config)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
 def test_learned_plans_are_unchanged(name):
     args = GOLDEN_SETS[name][0]
     rows, cols, connectivity = args[1], args[2], args[-1]
-    params = load_checkpoint(FIXTURE_CKPT)
-    # n_max is capacity only; the 20x20 maps need more than the fixture's
-    config = dataclasses.replace(params.config, n_max=max(params.config.n_max, rows * cols))
-    params = dataclasses.replace(params, config=config)
+    params = fixture_for(rows, cols)
     text = ""
     for grid in dataset_build(*args).scenarios:
         traj = plan(grid, params, connectivity)
         text += " ".join(map(str, traj.tour.order)) + f" {traj.length!r}\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_PLANS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+def test_float32_copy_of_the_fixture_plans_the_same_tours(name):
+    # training writes float32 checkpoints: the fixture's weights and
+    # running statistics in float32 must plan every benchmark map as the
+    # float64 fixture does, with heat within 5e-6 of the float64 heat
+    args = GOLDEN_SETS[name][0]
+    rows, cols, connectivity = args[1], args[2], args[-1]
+    wide = fixture_for(rows, cols)
+    assert wide.config.dtype == "float64"
+    narrow = init_params(dataclasses.replace(wide.config, dtype="float32"), seed=0)
+    for (_, dst), (_, src) in zip(narrow.named_trainable() + narrow.named_running(),
+                                  wide.named_trainable() + wide.named_running()):
+        dst[...] = src
+    for grid in dataset_build(*args).scenarios:
+        want, got = plan(grid, wide, connectivity), plan(grid, narrow, connectivity)
+        assert got.tour == want.tour
+        assert got.path == want.path
+        assert got.length == want.length
+        graph = encode(grid, grid.n_free, connectivity)
+        heat = heat_for_graph(graph, narrow)
+        assert heat.dtype == np.float32
+        assert np.abs(heat - heat_for_graph(graph, wide)).max() <= 5e-6
 
 
 def test_plan_single_free_cell():

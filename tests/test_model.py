@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import re
@@ -33,20 +34,22 @@ from cppnet.model import (
 )
 from cppnet.oracle import cost_matrix, label_pairs, pairs_to_matrix, two_opt
 from cppnet.scenario import generate_scenario, scenario_from_text
+from cppnet.train import Adam
 
 from conftest import FIXTURE_CKPT, finite_difference_check, randomize_params
 
 
 def small_setup(map_seed=3, param_seed=1, hidden=6, layers=2, density=0.2, pad=2,
-                mlp_layers=2):
+                mlp_layers=2, dtype=ModelConfig.dtype):
     grid = generate_scenario(3, 3, 1.0, density, seed=map_seed)
     n_max = grid.n_free + pad
     graph = encode(grid, n_max)
-    config = ModelConfig(hidden=hidden, conv_layers=layers, mlp_layers=mlp_layers, n_max=n_max)
+    config = ModelConfig(hidden=hidden, conv_layers=layers, mlp_layers=mlp_layers, n_max=n_max,
+                         dtype=dtype)
     params = init_params(config, seed=param_seed)
-    batch = stack_graphs([graph])
+    batch = stack_graphs([graph], dtype=config.np_dtype)
     costs = cost_matrix(grid)
-    labels = pairs_to_matrix(label_pairs(two_opt(costs, 0)), n_max)[None]
+    labels = pairs_to_matrix(label_pairs(two_opt(costs, 0)), n_max)[None].astype(config.np_dtype)
     return grid, graph, config, params, batch, labels
 
 
@@ -242,7 +245,7 @@ def assert_gradients_match(batch, labels, params):
 
 
 def test_gradients_match_finite_differences():
-    _, _, _, params, batch, labels = small_setup()
+    _, _, _, params, batch, labels = small_setup(dtype="float64")
     assert_gradients_match(batch, labels, randomize_params(params, np.random.default_rng(0)))
 
 
@@ -253,7 +256,8 @@ def test_gradients_match_finite_differences_at_depth(conv_layers, mlp_layers):
     # rank-1 product is the whole backward), a three-layer head and a third
     # conv layer must all still give the exact gradient; a fourth conv
     # layer's backward rebuilds its input rows from two held layers
-    _, _, _, params, batch, labels = small_setup(layers=conv_layers, mlp_layers=mlp_layers)
+    _, _, _, params, batch, labels = small_setup(layers=conv_layers, mlp_layers=mlp_layers,
+                                                 dtype="float64")
     assert_gradients_match(batch, labels, randomize_params(params, np.random.default_rng(0)))
 
 
@@ -270,7 +274,8 @@ def test_second_loss_and_grads_on_a_cache_is_refused():
 def test_gradients_match_on_eight_connected_graph():
     grid = generate_scenario(3, 3, 1.0, 0.2, seed=11)
     graph = encode(grid, grid.n_free + 1, connectivity=8)
-    config = ModelConfig(hidden=4, conv_layers=1, mlp_layers=2, n_max=grid.n_free + 1)
+    config = ModelConfig(hidden=4, conv_layers=1, mlp_layers=2, n_max=grid.n_free + 1,
+                         dtype="float64")
     params = randomize_params(init_params(config, seed=6), np.random.default_rng(1))
     batch = stack_graphs([graph])
     labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid, 8), 0)), batch.n)[None]
@@ -313,7 +318,7 @@ def test_adjacency_target_groups_match_source_groups(connectivity):
 def test_gradients_match_on_mixed_size_batch(connectivity):
     # batch norm pools its statistics over blocks of unequal size
     batch, labels = mixed_batch(connectivity)
-    config = ModelConfig(hidden=4, conv_layers=2, mlp_layers=2, n_max=batch.n)
+    config = ModelConfig(hidden=4, conv_layers=2, mlp_layers=2, n_max=batch.n, dtype="float64")
     params = randomize_params(init_params(config, seed=2), np.random.default_rng(3))
     assert_gradients_match(batch, labels, params)
 
@@ -336,21 +341,24 @@ def test_mixed_size_batch_independent_of_capacity(connectivity):
         assert np.max(np.abs(ga - gb)) < 1e-10, name
 
 
-@pytest.mark.parametrize("connectivity, conv_layers", [
-    pytest.param(4, 2, id="4"), pytest.param(8, 2, id="8"),
-    pytest.param(4, 3, id="4-3"), pytest.param(8, 3, id="8-3"),
-    pytest.param(4, 4, id="4-4"), pytest.param(8, 4, id="8-4"),
+@pytest.mark.parametrize("connectivity, conv_layers, dtype", [
+    pytest.param(4, 2, "float64", id="4"), pytest.param(8, 2, "float64", id="8"),
+    pytest.param(4, 3, "float64", id="4-3"), pytest.param(8, 3, "float64", id="8-3"),
+    pytest.param(4, 4, "float64", id="4-4"), pytest.param(8, 4, "float64", id="8-4"),
+    pytest.param(4, 3, "float32", id="4-3-float32"),
+    pytest.param(8, 4, "float32", id="8-4-float32"),
 ])
-def test_training_step_independent_of_tile_size(connectivity, conv_layers, monkeypatch):
+def test_training_step_independent_of_tile_size(connectivity, conv_layers, dtype, monkeypatch):
     # tiles of one source row, ragged tiles (20 rows: 4 of the 5-node
     # block's rows, 2 of the 7-node block's) and one tile per block must
     # give the same loss, gradients and running statistics; past two conv
     # layers the backward rebuilds each layer's input tiles from the held
-    # layers below it
-    batch, labels = mixed_batch(connectivity)
+    # layers below it. float32 sums its tiles in its own precision.
+    batch, labels = mixed_batch(connectivity, dtype=dtype)
     sizes = sorted(nb for nb, _, _ in batch.blocks)
     assert sizes == [5, 7, 8]
-    config = ModelConfig(hidden=6, conv_layers=conv_layers, mlp_layers=2, n_max=batch.n)
+    config = ModelConfig(hidden=6, conv_layers=conv_layers, mlp_layers=2, n_max=batch.n,
+                         dtype=dtype)
     seeded = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
 
     def step(tile_rows):
@@ -361,12 +369,14 @@ def test_training_step_independent_of_tile_size(connectivity, conv_layers, monke
         return heat, loss, grads.named_trainable(), params.named_running()
 
     ref_heat, ref_loss, ref_grads, ref_running = step(model.EDGE_TILE_ROWS)
+    rel = 1e-12 if dtype == "float64" else 5e-5
     for tile_rows in (1, 20, 10**6):
         heat, loss, grads, running = step(tile_rows)
-        assert np.abs(heat - ref_heat).max() <= 1e-12
-        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(heat - ref_heat).max() <= rel
+        assert abs(loss - ref_loss) <= rel * abs(ref_loss)
         for (name, got), (_, want) in zip(grads + running, ref_grads + ref_running):
-            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-3), \
+            assert got.dtype == config.np_dtype, name
+            assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-3), \
                 (tile_rows, name)
 
 
@@ -474,7 +484,7 @@ def test_eval_batch_norm_folds_running_statistics():
     # forward used, the folded eval forward must give the training heat
     tight, _ = mixed_batch(4)
     batch, _ = mixed_batch(4, n_max=tight.n + 3)
-    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=batch.n)
+    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=batch.n, dtype="float64")
     params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
     train_heat, cache = forward(batch, params, training=True)
     for layer, lc in zip(params.layers, cache["layers"]):
@@ -591,23 +601,17 @@ def test_eval_heat_independent_of_tile_size(connectivity, monkeypatch):
         assert np.all(heat[~batch.block_mask] == 0.0)
 
 
-def test_training_step_peak_memory_is_about_four_edge_arrays():
-    # a training step holds one edge buffer, which every conv layer past
-    # the first, whose rows are held in closed form, updates in place, and,
-    # per such layer, its centred pre-activations and its ReLU mask; the
-    # backward rebuilds each layer's input rows tile by tile from these,
-    # the final edge rows become their own gradient and the MLP head keeps
-    # no hidden row. Two 12x12 maps, about 34 000 pair rows (13.6 MB per
-    # (P, h) array), make the edge arrays the whole footprint: 3.92 arrays
-    # at the peak, against 4.86 when each layer kept its output rows.
+def training_step_peak(dtype):
+    """The tracemalloc peak of one training step over two 12x12 maps, in
+    (P, h) edge arrays of dtype."""
     grids = [generate_scenario(12, 12, 1.0, 0.0, seed=0),
              generate_scenario(12, 12, 1.0, 0.2, seed=1)]
     n = max(g.n_free for g in grids)
-    config = ModelConfig(n_max=n)
+    config = ModelConfig(n_max=n, dtype=dtype)
     params = init_params(config, seed=0)
-    batch = stack_graphs([encode(g, n) for g in grids])
+    batch = stack_graphs([encode(g, n) for g in grids], dtype=config.np_dtype)
     labels = np.stack([pairs_to_matrix(zip(range(g.n_free - 1), range(1, g.n_free)), n)
-                       for g in grids])
+                       for g in grids]).astype(config.np_dtype)
     edge_bytes = batch.n_pairs * config.hidden * np.dtype(config.np_dtype).itemsize
     tracemalloc.start()
     try:
@@ -616,7 +620,28 @@ def test_training_step_peak_memory_is_about_four_edge_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.25 * edge_bytes, f"peak {peak / edge_bytes:.2f} edge arrays"
+    return peak / edge_bytes
+
+
+def test_training_step_peak_memory_is_about_four_edge_arrays():
+    # a training step holds one edge buffer, which every conv layer past
+    # the first, whose rows are held in closed form, updates in place, and,
+    # per such layer, its centred pre-activations and its ReLU mask; the
+    # backward rebuilds each layer's input rows tile by tile from these,
+    # the final edge rows become their own gradient and the MLP head keeps
+    # no hidden row. Two 12x12 maps, about 34 000 pair rows (13.6 MB per
+    # float64 (P, h) array), make the edge arrays the whole footprint: 3.92
+    # arrays at the peak, against 4.86 when each layer kept its output rows.
+    peak = training_step_peak("float64")
+    assert peak <= 4.25, f"peak {peak:.2f} edge arrays"
+
+
+def test_float32_training_step_peak_memory_is_about_four_edge_arrays():
+    # half the bytes of the float64 step: 4.21 float32 edge arrays at the
+    # peak, as each layer's ReLU mask (one byte an entry) weighs twice as
+    # much against a float32 array as against a float64 one
+    peak = training_step_peak("float32")
+    assert peak <= 4.5, f"peak {peak:.2f} edge arrays"
 
 
 def test_eval_forward_keeps_no_edge_array():
@@ -707,7 +732,7 @@ def test_failed_training_forward_leaves_running_statistics(layers, where):
     # the first MLP layer overflows after every conv layer has taken its
     # batch statistics, and a NaN node weight in the last layer reaches
     # only that layer's node statistics, never the heat
-    _, _, _, params, batch, _ = small_setup(layers=layers)
+    _, _, _, params, batch, _ = small_setup(layers=layers, dtype="float64")
     if where == "mlp0":
         params.mlp_weights[0][:] = 1e307
         params.mlp_biases[0][:] = 1.7e308
@@ -761,7 +786,7 @@ def test_non_finite_edge_activation_detected(where, training):
     # training cache whose final edge rows are scaled past the float64
     # range, which only the backward reads (scaled by 1e300 they still give
     # finite gradients).
-    _, _, _, params, batch, labels = small_setup(layers=3)
+    _, _, _, params, batch, labels = small_setup(layers=3, dtype="float64")
     if where == "w_edge":
         params.layers[-1].w_edge[0, 0] = np.inf
     elif where == "mlp0":
@@ -797,7 +822,7 @@ def test_overflow_in_first_layer_rows_detected(layers, training):
     # parameters make each build overflow, as in
     # test_non_finite_edge_activation_detected; in eval a running mean of
     # -1 lifts every pre-activation by 1, past the overflow threshold.
-    _, _, _, params, batch, _ = small_setup(layers=layers)
+    _, _, _, params, batch, _ = small_setup(layers=layers, dtype="float64")
     params.layers[0].bn_edge.gamma[:] = 1e307
     params.layers[0].bn_edge.beta[:] = 1.7e308
     params.layers[0].bn_edge.run_mean[:] = -1.0
@@ -855,9 +880,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (b"tensor input.node_bias", b"tensor input.node_b\xe9ias"),  # tensor header not UTF-8
     (b" <f8 ", b" |O "),                              # object dtype of the same size
     (b" <f8 6,2 ", b" <f8 6,3 "),                     # shape does not fit the byte count
+    (b'"dtype": "float64"', b'"dtype": "float32"'),   # tensors not of the config's dtype
 ])
 def test_checkpoint_malformed_is_parse_error(tmp_path, old, new):
-    _, _, _, params, _, _ = small_setup()
+    _, _, _, params, _, _ = small_setup(dtype="float64")
     good = tmp_path / "good.ckpt"
     save_checkpoint(params, good)
     data, found = re.subn(old, new, good.read_bytes(), count=1)
@@ -884,8 +910,8 @@ def test_checkpoint_bad_value_is_parse_error(tmp_path, name, index, value, reaso
 
 
 def test_checkpoint_config_wider_than_its_file_refused_before_allocating(tmp_path):
-    # a header-only file whose config line asks for 600-wide layers: 49 MB
-    # of tensors, where even float16 ones would need 11.6 MB of file
+    # a header-only file whose config line asks for 600-wide float32
+    # layers: 23.1 MB of tensors, which the file would have to hold
     config = ModelConfig(hidden=600)
     path = tmp_path / "wide.ckpt"
     path.write_bytes(f"{model.CHECKPOINT_HEADER}\n".encode()
@@ -893,7 +919,7 @@ def test_checkpoint_config_wider_than_its_file_refused_before_allocating(tmp_pat
     assert path.stat().st_size == 103
     tracemalloc.start()
     try:
-        with pytest.raises(ParseError, match="needs >= 11556602 tensor bytes, file has 0"):
+        with pytest.raises(ParseError, match="needs >= 23113204 tensor bytes, file has 0"):
             load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -915,3 +941,46 @@ def test_float32_mode_same_api():
     heat = heat_for_graph(encode(grid, grid.n_free), params)
     assert heat.dtype == np.float32
     assert 0.0 < heat.min() and heat.max() < 1.0
+
+
+def float_arrays(obj, name):
+    """(name, array) for every float array reachable from obj through
+    dicts, lists, tuples and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield name, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from float_arrays(value, f"{name}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for k, value in enumerate(obj):
+            yield from float_arrays(value, f"{name}[{k}]")
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from float_arrays(getattr(obj, f.name), f"{name}.{f.name}")
+
+
+def test_float32_training_step_stays_float32():
+    # a float64 temporary that reaches a cache array, a gradient or an Adam
+    # moment silently doubles a step's memory, and every step after it
+    batch, labels = mixed_batch(8, dtype="float32")
+    config = ModelConfig(hidden=6, conv_layers=4, mlp_layers=2, n_max=batch.n, dtype="float32")
+    params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
+    optimizer = Adam(params.trainable_arrays(), 1e-3)
+    heat, cache = forward(batch, params, training=True)
+    assert heat.dtype == np.float32
+    held = list(float_arrays(cache, "cache"))
+    # the batch's coordinates and step lengths, every layer's terms, and
+    # the held layers' centred pre-activations inside the edge buffer's
+    # description
+    assert len(held) > 40 and any(".held[" in name for name, _ in held)
+    for name, arr in held:
+        assert arr.dtype == np.float32, name
+    loss, grads = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+    assert np.isfinite(loss)
+    optimizer.step(grads.trainable_arrays())
+    named = grads.named_trainable() + params.named_trainable() + params.named_running()
+    moments = [(f"m[{k}]", m) for k, m in enumerate(optimizer.m)] \
+        + [(f"v[{k}]", v) for k, v in enumerate(optimizer.v)]
+    for name, arr in named + moments:
+        assert arr.dtype == np.float32, name
