@@ -10,6 +10,7 @@ adversarial ones, because some unvisited cell is always the nearest.
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
@@ -32,51 +33,49 @@ class Trajectory:
     inference_ms: float = 0.0
 
 
+@lru_cache(maxsize=None)
+def _ring(connectivity: int, radius: int) -> tuple:
+    """Offsets at exactly `radius` from a cell, in row-major order: Manhattan
+    rings on 4-connected grids, Chebyshev rings on 8-connected ones, so
+    radius 1 is exactly the grid neighbours."""
+    span = range(-radius, radius + 1)
+    manhattan = connectivity == 4
+    return tuple((dr, dc) for dr in span for dc in span
+                 if (abs(dr) + abs(dc) if manhattan else max(abs(dr), abs(dc))) == radius)
+
+
 def greedy_decode(heat: np.ndarray, graph: ScenarioGraph, start: int) -> Tour:
     """Greedy tour over symmetrized probabilities in the nearest neighborhood.
 
     From the current cell, the unvisited node with the highest
     (p_ij + p_ji) / 2 is chosen among the unvisited nodes at the smallest
-    radius from it (ties to the lower slot). Radius 1 is the graph's own
-    neighbour pairs, scanned in plain Python along its edge list; the radius
-    scan over every cell, in the Manhattan or Chebyshev balls of the graph's
-    connectivity, runs only for a step with no unvisited neighbour.
+    radius from it (ties to the lower slot). The step walks outward ring by
+    ring under the graph's connectivity and reads heat only at the pairs of
+    the first ring that holds an unvisited cell.
     """
-    n = graph.n_free
-    cells = np.array(graph.slot_cells)
-    i, j, _ = graph.edges
-    # edges are sorted by (i, j): slot s's neighbours, in ascending slot
-    # order, are j[bounds[s]:bounds[s + 1]]
-    bounds = np.searchsorted(i, np.arange(n + 1)).tolist()
-    near1 = j.tolist()
-    near1_sym = ((heat[i, j] + heat[j, i]) * 0.5).tolist()
-    visited = [False] * n
+    slot_of = {cell: s for s, cell in enumerate(graph.slot_cells)}
+    visited = [False] * graph.n_free
     visited[start] = True
     order = [start]
-    current = start
-    for _ in range(n - 1):
-        chosen, best = -1, 0.0
-        lo, hi = bounds[current], bounds[current + 1]
-        for k, value in zip(near1[lo:hi], near1_sym[lo:hi]):
-            if visited[k]:
-                continue
-            # strict > keeps the lowest slot of a tie; the first NaN wins,
-            # as in np.argmax
-            if chosen < 0 or value > best or (value != value and best == best):
-                chosen, best = k, value
-        if chosen < 0:
-            cur_cell = cells[current]
-            dr = np.abs(cells[:, 0] - cur_cell[0])
-            dc = np.abs(cells[:, 1] - cur_cell[1])
-            # Manhattan balls on 4-connected grids, Chebyshev balls on
-            # 8-connected ones: radius 1 is exactly the grid neighbors
-            radii = dr + dc if graph.connectivity == 4 else np.maximum(dr, dc)
-            unvisited = np.flatnonzero(~np.array(visited))
-            near = unvisited[radii[unvisited] == radii[unvisited].min()]
-            chosen = int(near[np.argmax((heat[current, near] + heat[near, current]) * 0.5)])
+    for _ in range(graph.n_free - 1):
+        current = order[-1]
+        r, c = graph.slot_cells[current]
+        chosen, best, radius = -1, 0.0, 0
+        # some unvisited cell is always at a finite radius, so the walk ends
+        while chosen < 0:
+            radius += 1
+            # row-major offsets visit the ring's cells in ascending slot order
+            for dr, dc in _ring(graph.connectivity, radius):
+                k = slot_of.get((r + dr, c + dc))
+                if k is None or visited[k]:
+                    continue
+                value = (heat[current, k] + heat[k, current]) * 0.5
+                # strict > keeps the lowest slot of a tie; the first NaN
+                # wins, as in np.argmax
+                if chosen < 0 or value > best or (value != value and best == best):
+                    chosen, best = k, value
         visited[chosen] = True
         order.append(chosen)
-        current = chosen
     return Tour(tuple(order))
 
 

@@ -884,12 +884,16 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
     NonFiniteActivation, and so does a heat entry or an updated running
     statistic that is not finite, as a NaN parameter gives without
     trapping. A training forward moves the running statistics only once
-    all of these checks have passed.
+    all of these checks have passed. A batch stacked in another dtype than
+    the parameters' is a ShapeMismatch.
     """
     if batch.n > params.config.n_max:
         raise ShapeMismatch(
             f"batch capacity {batch.n} exceeds model n_max {params.config.n_max}"
         )
+    dtype = params.config.np_dtype
+    if batch.coords.dtype != dtype or batch.adj_len.dtype != dtype:
+        raise ShapeMismatch(f"batch stacked in {batch.coords.dtype}, model is {params.config.dtype}")
     with _trapped("forward"):
         x, e = embed_input(batch, params)
         layer_caches = []
@@ -946,7 +950,9 @@ def weighted_bce(heat, labels, mask):
 def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
     """Weighted BCE and exact gradients for every trainable parameter.
 
-    labels and mask are (B, n, n); mask marks ordered real pairs i != j.
+    labels and mask are (B, n, n); mask marks ordered real pairs i != j,
+    and one that marks any entry outside the batch's pair_mask is a
+    ShapeMismatch, raised before the cache is consumed.
     cache is the training-mode cache of the forward that produced heat;
     it is consumed, so it serves one call: the call writes the gradient of
     the final edge rows over them, and a second call raises CacheConsumed.
@@ -956,9 +962,12 @@ def loss_and_grads(heat, labels, mask, params: ModelParams, cache):
     """
     if "edges" not in cache:
         raise CacheConsumed("forward cache already consumed by loss_and_grads; run forward again")
+    batch: GraphBatch = cache["batch"]
+    # the backward takes the diagonal rows' edge gradient to be 0
+    if mask.shape != batch.pair_mask.shape or (mask & ~batch.pair_mask).any():
+        raise ShapeMismatch("loss mask marks entries outside the batch's pair_mask")
     with _trapped("backward"):
         loss, w1, w0 = weighted_bce(heat, labels, mask)
-        batch: GraphBatch = cache["batch"]
 
         p = heat
         inside = mask & (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)

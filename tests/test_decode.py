@@ -175,16 +175,18 @@ def _trapped_steps(tour, graph, connectivity):
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])
-@pytest.mark.parametrize("kind", ["ties", "uniform", "trapped"])
+@pytest.mark.parametrize("kind", ["ties", "uniform", "trapped", "large"])
 def test_decode_and_stitch_match_reference(kind, connectivity, monkeypatch):
-    # 200 random maps per case: heats in {0, 0.5, 1} tie often, uniform
-    # heats (half of them float32) do not, and half-blocked maze-like maps
-    # trap the walk in dead ends
-    rng = np.random.default_rng(["ties", "uniform", "trapped"].index(kind))
+    # 200 random maps of up to 8x8 per case: heats in {0, 0.5, 1} tie often,
+    # uniform heats (half of them float32) do not, and half-blocked
+    # maze-like maps trap the walk in dead ends; 20 maps of 10x10 to 30x30
+    # with uniform heats send the walk out over wider rings
+    rng = np.random.default_rng(["ties", "uniform", "trapped", "large"].index(kind))
+    large = kind == "large"
     trapped = steps = 0
-    for seed in range(200):
-        rows, cols = rng.integers(2, 9, size=2)
-        density = 0.5 if kind == "trapped" else rng.uniform(0.0, 0.4)
+    for seed in range(20 if large else 200):
+        rows, cols = rng.integers(10, 31, size=2) if large else rng.integers(2, 9, size=2)
+        density = 0.5 if kind == "trapped" else rng.uniform(0.0, 0.5 if large else 0.4)
         grid = generate_scenario(rows, cols, (0.5, 1.0, 1.7)[seed % 3], density, seed=seed,
                                  connectivity=connectivity)
         graph = encode(grid, grid.n_free, connectivity)
@@ -226,8 +228,21 @@ def test_decode_radius_follows_the_encoded_connectivity():
     assert differ > 0
 
 
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_decode_walks_out_to_a_far_ring(connectivity):
+    # a 1x25 corridor started midway, heat rising with the slot: the walk
+    # runs right to the end, and the next unvisited cell is then 13 rings
+    # back, past the start
+    grid = grid_from_rows(["." * 25], start=(0, 12))
+    graph = encode(grid, 25, connectivity)
+    heat = np.tile(np.arange(25) / 25, (25, 1))
+    tour = greedy_decode(heat, graph, grid.start_slot)
+    assert tour.order == tuple(range(12, 25)) + tuple(range(11, -1, -1))
+    assert tour.order == reference_greedy_decode(heat, graph, grid.start_slot, connectivity).order
+
+
 def test_decode_nan_heat_picks_as_argmax():
-    # np.argmax takes the first NaN; the neighbour scan does the same
+    # np.argmax takes the first NaN; the ring walk does the same
     grid = grid_from_rows(["...", "...", "..."])
     graph = encode(grid, 9)
     heat = np.random.default_rng(3).uniform(size=(9, 9))

@@ -271,6 +271,32 @@ def test_second_loss_and_grads_on_a_cache_is_refused():
         loss_and_grads(heat, labels, batch.pair_mask, params, cache)
 
 
+def test_loss_mask_outside_pair_mask_refused_before_the_cache_is_consumed():
+    # the backward takes the diagonal rows' edge gradient to be 0, so a mask
+    # marking (i, i) would give wrong gradients; the refused call leaves the
+    # cache to serve a call with pair_mask
+    _, _, _, params, batch, labels = small_setup()
+    heat, cache = forward(batch, params, training=True)
+    for bad in (batch.block_mask, batch.pair_mask[:, :-1]):
+        with pytest.raises(ShapeMismatch):
+            loss_and_grads(heat, labels, bad, params, cache)
+    loss, _ = loss_and_grads(heat, labels, batch.pair_mask, params, cache)
+    assert np.isfinite(loss)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_forward_refuses_batch_of_another_dtype(dtype):
+    # a batch stacked in the other dtype would run the whole pass, and a
+    # training step's gradients, in the batch's precision
+    _, graph, config, params, batch, _ = small_setup(dtype=dtype)
+    other = np.float64 if dtype == "float32" else np.float32
+    for training in (False, True):
+        with pytest.raises(ShapeMismatch):
+            forward(stack_graphs([graph], dtype=other), params, training=training)
+        heat, _ = forward(batch, params, training=training)
+        assert heat.dtype == config.np_dtype
+
+
 def test_gradients_match_on_eight_connected_graph():
     grid = generate_scenario(3, 3, 1.0, 0.2, seed=11)
     graph = encode(grid, grid.n_free + 1, connectivity=8)
@@ -327,7 +353,7 @@ def test_gradients_match_on_mixed_size_batch(connectivity):
 def test_mixed_size_batch_independent_of_capacity(connectivity):
     tight, tight_labels = mixed_batch(connectivity)
     wide, wide_labels = mixed_batch(connectivity, n_max=2 * tight.n)
-    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=wide.n)
+    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=wide.n, dtype="float64")
     params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
     results = []
     for batch, labels in ((tight, tight_labels), (wide, wide_labels)):
@@ -446,7 +472,7 @@ def test_backward_rebuilds_layer_inputs_bit_for_bit(connectivity, tile_rows, mon
     # rebuilt tile must equal, byte for byte, the output rows that a forward
     # keeping each layer's output array gave the layer below.
     batch, labels = mixed_batch(connectivity)
-    config = ModelConfig(hidden=6, conv_layers=4, mlp_layers=2, n_max=batch.n)
+    config = ModelConfig(hidden=6, conv_layers=4, mlp_layers=2, n_max=batch.n, dtype="float64")
     params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
     monkeypatch.setattr(model, "EDGE_TILE_ROWS", tile_rows)
     conv_forward, input_tile = model.conv_forward, model._input_tile
@@ -590,8 +616,8 @@ def test_eval_heat_independent_of_tile_size(connectivity, monkeypatch):
     grids = [generate_scenario(3, 3, 1.0, 0.4, seed=2), lone,
              generate_scenario(3, 4, 1.0, 0.3, seed=5)]
     n = max(g.n_free for g in grids) + 3
-    batch = stack_graphs([encode(g, n, connectivity) for g in grids])
-    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=n)
+    batch = stack_graphs([encode(g, n, connectivity) for g in grids], dtype=np.float64)
+    config = ModelConfig(hidden=6, conv_layers=2, mlp_layers=2, n_max=n, dtype="float64")
     params = randomize_params(init_params(config, seed=4), np.random.default_rng(5))
     ref, _ = forward(batch, params, training=False)
     for tile_rows in (1, 20, 10**6):
@@ -663,7 +689,7 @@ def test_eval_forward_keeps_no_edge_array():
 
 
 def test_permutation_equivariance_eval_mode():
-    grid, graph, config, params, batch, _ = small_setup(pad=0)
+    grid, graph, config, params, batch, _ = small_setup(pad=0, dtype="float64")
     heat, _ = forward(batch, params, training=False)
     rng = np.random.default_rng(0)
     perm = rng.permutation(batch.n)
@@ -678,7 +704,7 @@ def test_permutation_equivariance_eval_mode():
         coords = graph.coords[perm]
         edges = (inv[i][order], inv[j][order], length[order])
 
-    pbatch = stack_graphs([Permuted()])
+    pbatch = stack_graphs([Permuted()], dtype=config.np_dtype)
     pheat, _ = forward(pbatch, params, training=False)
     assert np.allclose(pheat[0], heat[0][np.ix_(perm, perm)], atol=1e-12)
 
@@ -697,11 +723,12 @@ def test_training_mode_padding_inert_too():
     # masked batch-norm statistics exclude padding, so train-mode heat on
     # real pairs is unchanged by extra padding slots as well
     grid = generate_scenario(3, 3, 1.0, 0.2, seed=4)
-    config = ModelConfig(hidden=6, conv_layers=1, mlp_layers=2, n_max=3 * grid.n_free)
+    config = ModelConfig(hidden=6, conv_layers=1, mlp_layers=2, n_max=3 * grid.n_free,
+                         dtype="float64")
     params = init_params(config, seed=8)
     n = grid.n_free
-    b1 = stack_graphs([encode(grid, n)])
-    b2 = stack_graphs([encode(grid, 3 * n)])
+    b1 = stack_graphs([encode(grid, n)], dtype=config.np_dtype)
+    b2 = stack_graphs([encode(grid, 3 * n)], dtype=config.np_dtype)
     h1, _ = forward(b1, params, training=True)
     h2, _ = forward(b2, params, training=True)
     assert np.max(np.abs(h2[0, :n, :n] - h1[0])) < 1e-10
@@ -711,7 +738,7 @@ def test_training_forward_without_pairs_is_degenerate():
     # one-free-cell maps have no pair to take edge statistics over; the
     # batch is refused before any running statistic moves
     lone = encode(scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n"), 4)
-    params = init_params(ModelConfig(hidden=4, conv_layers=1, n_max=4), seed=0)
+    params = init_params(ModelConfig(hidden=4, conv_layers=1, n_max=4, dtype="float64"), seed=0)
     before = [arr.copy() for _, arr in params.named_running()]
     with pytest.raises(DegenerateBatch):
         forward(stack_graphs([lone, lone]), params, training=True)

@@ -75,7 +75,7 @@ def test_training_is_deterministic():
 
 def test_training_reduces_loss_from_first_batch():
     sset = dataset_build(20, 5, 5, 1.0, (0.0, 0.3), (0.75, 0.25, 0.0), seed=6)
-    model_config = ModelConfig(hidden=10, conv_layers=2, mlp_layers=2, n_max=25)
+    model_config = ModelConfig(hidden=10, conv_layers=2, mlp_layers=2, n_max=25, dtype="float32")
     config = TrainConfig(learning_rate=1e-3, batch_size=5, max_epochs=2, seed=2)
     params, report = train(sset, config, model_config)
 
@@ -84,7 +84,7 @@ def test_training_reduces_loss_from_first_batch():
     cache = LabelCache(None)
     order = np.random.default_rng([config.seed, 1]).permutation(len(train_maps))
     first = [train_maps[i] for i in order[: config.batch_size]]
-    batch = stack_graphs([encode(g, 25) for g in first])
+    batch = stack_graphs([encode(g, 25) for g in first], dtype=model_config.np_dtype)
     labels = np.stack([pairs_to_matrix(cache.pairs_for(g), 25) for g in first])
     init = init_params(model_config, config.seed)
     heat, _ = forward(batch, init, training=True)
