@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .errors import CapacityExceeded, FormatVersionMismatch, ParseError
+from .errors import CapacityExceeded, Disconnected, FormatVersionMismatch, ParseError
 from .fileio import atomic_write_text, read_text
 from .graph import ScenarioGraph, encode
 from .model import ModelParams, heat_for_graph
@@ -86,6 +86,7 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
     connectivities), read from one table per call; ties prefer lower f,
     then higher g, then the lower row-major cell index, so paths are
     reproducible. The path holds the map's shared cell_table tuples.
+    Disconnected if no path joins the two cells.
     """
     if start_cell == goal_cell:
         return [start_cell], 0.0
@@ -128,7 +129,7 @@ def astar(grid: GridMap, start_cell, goal_cell, connectivity: int = 4):
                 g_score[nxt] = ng
                 came[nxt] = cell
                 heappush(open_heap, (ng + heuristic[r][c], -ng, k, nxt))
-    raise AssertionError(f"no path {start_cell} -> {goal_cell}; map invariant violated")
+    raise Disconnected(f"no path {start_cell} -> {goal_cell} under {connectivity}-connectivity")
 
 
 def stitch(tour: Tour, grid: GridMap, connectivity: int = 4) -> Trajectory:

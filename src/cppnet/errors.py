@@ -17,6 +17,11 @@ class FormatVersionMismatch(ParseError):
     """File carries an unknown format header or version."""
 
 
+class Disconnected(CppnetError, ValueError):
+    """Free cells not all reachable from each other under the connectivity
+    a cost matrix or path was asked for."""
+
+
 class CapacityExceeded(CppnetError, ValueError):
     """More free cells than graph slots."""
 

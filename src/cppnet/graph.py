@@ -33,9 +33,7 @@ def encode(grid: GridMap, n_max: int, connectivity: int = 4) -> ScenarioGraph:
 
     rs, cs = np.nonzero(~grid.occupancy)
     coords = np.stack([(cs + 0.5) * grid.cell_size, (rs + 0.5) * grid.cell_size], axis=1)
-    i, j, length = free_cell_edges(grid, connectivity)
-    order = np.lexsort((j, i))
-    edges = (i[order], j[order], length[order])
+    edges = free_cell_edges(grid, connectivity)
     for arr in (coords, *edges):
         arr.setflags(write=False)
     return ScenarioGraph(n_max, n_free, coords, edges, tuple(grid.free_cells()), connectivity)

@@ -21,7 +21,8 @@ Conventions:
   - The first conv layer is held in closed form (FirstEdges) in both
     modes: its input rows are the bias row but on the adjacency, so its
     centred edge pre-activation is u_i + r_j, plus d_q on adjacency row q.
-    It keeps no (P, h) array; each reader builds its tiles (_input_tile).
+    It keeps no (P, h) array, only the (A, h) adjacency pre-activations,
+    formed once per pass; each reader builds its tiles (_input_tile).
   - In training mode, batch-norm statistics are pooled over all blocks:
     over real nodes and over real ordered pairs (i != j); the first
     layer's follow from per-block node sums. Every later layer sums
@@ -237,8 +238,14 @@ class GraphBatch:
     def n_pairs(self):
         return self.blocks[-1][2].stop
 
+    @property
+    def real_pairs(self):
+        """The real ordered pairs i != j, pair_mask's count: the entries the
+        edge batch statistics pool over."""
+        return sum(nb * (nb - 1) for nb, _, _ in self.blocks)
 
-def stack_graphs(graphs: list[ScenarioGraph], dtype=np.float64) -> GraphBatch:
+
+def stack_graphs(graphs: list[ScenarioGraph], dtype=ModelConfig().np_dtype) -> GraphBatch:
     n = graphs[0].n_max
     for g in graphs:
         if g.n_max != n:
@@ -381,12 +388,15 @@ class FirstEdges:
     form. That layer's input rows are base but on the adjacency, where row
     q is base + lift_q, so its centred edge pre-activation of pair (i, j)
     is u_i + r_j, plus d_q on adjacency row q, and its output row is the
-    input row plus relu(k * (u_i + r_j [+ d_q]) + beta). Whatever reads
-    these rows builds each tile where it reads it (_input_tile)."""
+    input row plus relu(k * (u_i + r_j [+ d_q]) + beta). t_adj holds the
+    adjacency rows' pre-activations u_i + r_j + d_q, formed once per pass
+    (_first_edge_forward). Whatever reads these rows builds each tile where
+    it reads it (_input_tile)."""
 
     u: np.ndarray      # (N, h) source terms
     r: np.ndarray      # (N, h) target terms
     d: np.ndarray      # (A, h) adjacency terms, in adj_idx order
+    t_adj: np.ndarray  # (A, h) adjacency pre-activations, in adj_idx order
     k: np.ndarray      # (h,) batch-norm scale gamma / sqrt(var + eps)
     beta: np.ndarray   # (h,) batch-norm shift
     base: np.ndarray   # (h,) input row of every pair off the adjacency
@@ -424,19 +434,17 @@ def _first_preactivation(first: FirstEdges, tile, tile_nodes, nodes, rows, batch
     block = tile.reshape(tile_nodes.stop - tile_nodes.start, -1, tile.shape[1])
     np.add(first.u[tile_nodes, None], first.r[None, nodes], out=block)
     run, local = _tile_adjacency(tile_nodes, rows, batch)
-    tile[local] += first.d[run]
+    tile[local] = first.t_adj[run]
     return run, local
 
 
-def _first_output(first: FirstEdges, t, run, local):
-    """Turn centred pre-activation rows t, whose adjacency entries run sit
-    at rows local, into the output rows, in place."""
-    t *= first.k
-    t += first.beta
-    np.maximum(t, 0.0, out=t)
-    t += first.base
-    t[local] += first.lift[run]
-    return t
+def _first_output(first: FirstEdges, t, run, local, out):
+    """The output rows of centred pre-activation rows t, whose adjacency
+    entries run sit at rows local, into out."""
+    y = _edge_relu(t, first.k, first.beta, out)
+    y += first.base
+    y[local] += first.lift[run]
+    return y
 
 
 def _input_tile(e, tile_nodes, nodes, rows, out, batch: GraphBatch, work=None):
@@ -453,18 +461,15 @@ def _input_tile(e, tile_nodes, nodes, rows, out, batch: GraphBatch, work=None):
     if not isinstance(e, FirstEdges):
         return e[rows]
     run, local = _first_preactivation(e, out, tile_nodes, nodes, rows, batch)
-    return _first_output(e, out, run, local)
+    return _first_output(e, out, run, local, out)
 
 
 def _adjacent_rows(e, batch: GraphBatch):
     """The (A, h) adjacency rows of (P, h) edge rows: of the array e, or of
     FirstEdges, as its tiles hold them."""
-    edge, src, dst = batch.adj_idx
     if not isinstance(e, FirstEdges):
-        return e[edge]
-    t = e.u[src] + e.r[dst]
-    t += e.d
-    return _first_output(e, t, slice(None), slice(None))
+        return e[batch.adj_idx[0]]
+    return _first_output(e, e.t_adj, slice(None), slice(None), np.empty_like(e.t_adj))
 
 
 def _node_pairs(batch: GraphBatch, dtype):
@@ -488,7 +493,8 @@ def _first_edge_forward(x, e, layer: ConvLayer, batch: GraphBatch, base, m_e=Non
     of pair (i, j) less the batch mean is u_i + r_j (+ d_q), and the mean
     and variance come from sums over the node rows: over the pairs i != j
     of a block, sum (u_i + r_j)^2 = (n_b - 1)(sum u^2 + sum r^2) + 2 (sum u
-    sum r - sum u_i r_i). Returns FirstEdges, the mean and the variance."""
+    sum r - sum u_i r_i), and the adjacency adds sum d_q (2 (u_i + r_j) +
+    d_q). Returns FirstEdges, the mean and the variance."""
     lift = e - base
     d = lift @ layer.w_edge.T
     s = x @ layer.w_source.T + base @ layer.w_edge.T
@@ -504,13 +510,16 @@ def _first_edge_forward(x, e, layer: ConvLayer, batch: GraphBatch, base, m_e=Non
         mean_d = d.sum(axis=0) / m_e
         u = s - (mean_s + mean_d)
         r -= mean_r
-        _, src, dst = batch.adj_idx
-        squares = ((pairs * (u * u + r * r)).sum(axis=0)
-                   + 2 * np.einsum("ij,ij->j", _block_sums(u, batch) - u, r)
-                   + np.einsum("ij,ij->j", d, 2 * (u[src] + r[dst]) + d))
-        mean, var_e = mean_s + mean_r + mean_d, squares / m_e
+        mean = mean_s + mean_r + mean_d
+    _, src, dst = batch.adj_idx
+    t_adj = u[src] + r[dst]
+    if m_e is not None:
+        var_e = ((pairs * (u * u + r * r)).sum(axis=0)
+                 + 2 * np.einsum("ij,ij->j", _block_sums(u, batch) - u, r)
+                 + np.einsum("ij,ij->j", d, 2 * t_adj + d)) / m_e
+    t_adj += d
     k = bn_e.gamma / np.sqrt(var_e + BN_EPS)
-    return FirstEdges(u, r, d, k, bn_e.beta, base, lift), mean, var_e
+    return FirstEdges(u, r, d, t_adj, k, bn_e.beta, base, lift), mean, var_e
 
 
 def _diagonal(tile, tile_nodes, nodes):
@@ -568,10 +577,12 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     fold_only: it computes only its cache and returns x and e as they
     came.
     """
-    if fold_only:
-        return x, e, (_fold_edge_bn(x, layer) if base is None
-                      else _first_edge_forward(x, e, layer, batch, base)[0])
-    if training and not batch.pair_mask.any():
+    if not training:
+        terms = (_fold_edge_bn(x, layer) if base is None
+                 else _first_edge_forward(x, e, layer, batch, base)[0])
+        if fold_only:
+            return x, e, terms
+    elif not batch.real_pairs:
         raise DegenerateBatch("no real pair for the edge batch statistics")
     e_in_rows = e.rows if isinstance(e, HeldEdges) else e
     adjacent = _adjacent_rows(e_in_rows, batch) if training and base is None else e
@@ -585,14 +596,12 @@ def conv_forward(x, e, layer: ConvLayer, batch: GraphBatch, training: bool,
     x_next = x + np.maximum(y_n, 0.0)
     if not training:
         if base is not None:
-            first = _first_edge_forward(x, e, layer, batch, base)[0]
-            return x_next, _adjacent_rows(first, batch), first
-        folded = _fold_edge_bn(x, layer)
+            return x_next, _adjacent_rows(terms, batch), terms
         _, src, dst = batch.adj_idx
-        _edge_update(e, folded[0], folded[1][src, None], folded[2][dst, None])
-        return x_next, e, folded
+        _edge_update(e, terms[0], terms[1][src, None], terms[2][dst, None])
+        return x_next, e, terms
 
-    m_e = int(batch.pair_mask.sum())
+    m_e = batch.real_pairs
     bn_e = layer.bn_edge
     if base is not None:
         e_next, mu_e, var_e = _first_edge_forward(x, e, layer, batch, base, m_e)
@@ -664,37 +673,35 @@ def _first_edge_backward(de_next, layer: ConvLayer, batch: GraphBatch, first: Fi
                          var_e, m_e: int):
     """Edge branch of the first layer's backward, from its closed form. One
     sweep over de_next rebuilds each tile's centred pre-activations t0 and
-    takes, of ge = de_next where the ReLU passed, the sum of ge * t0, the
-    row and column sums per node and the adjacency rows. The pre-activation
-    gradient dt = k ge - a - c t0 off the diagonal then has row, column and
-    adjacency sums in O(N h + A h), and the input rows, base plus lift on
-    the adjacency, give the weight and input gradients. Returns the input
-    gradient as (its sum over all pair rows, its (A, h) adjacency rows),
-    the row and column sums of dt, dL/dW_edge and the batch-norm gradient."""
-    u, r, d = first.u, first.r, first.d
+    takes, of ge = de_next where the ReLU passed, the sum of ge * t0 and the
+    row and column sums per node; ge's adjacency rows follow from t_adj and
+    de_next's adjacency rows. The pre-activation gradient dt = k ge - a - c
+    t0 off the diagonal then has row, column and adjacency sums in O(N h +
+    A h), and the input rows, base plus lift on the adjacency, give the
+    weight and input gradients. Returns the input gradient as (its sum over
+    all pair rows, its (A, h) adjacency rows), the row and column sums of
+    dt, dL/dW_edge and the batch-norm gradient."""
+    u, r, d, t_adj = first.u, first.r, first.d, first.t_adj
     h = u.shape[1]
     t_buf, ge_buf = _tile_buffers(batch, 2, h, u.dtype)
     ones = _tile_ones(batch, u.dtype)
     ge_i = np.empty_like(u)
     ge_j = np.zeros_like(u)
-    ge_adj = np.empty_like(d)
-    de_adj = np.empty_like(d)
     gc_sum = np.zeros(h, dtype=u.dtype)
     de_sum = np.zeros(h, dtype=u.dtype)
     for tile_nodes, nodes, rows in _edge_tiles(batch):
         n_rows = rows.stop - rows.start
         t0 = t_buf[:n_rows]
-        run, local = _first_preactivation(first, t0, tile_nodes, nodes, rows, batch)
+        _first_preactivation(first, t0, tile_nodes, nodes, rows, batch)
         de_rows = de_next[rows]
-        y = np.multiply(t0, first.k, out=ge_buf[:n_rows])
-        y += first.beta
+        y = _edge_relu(t0, first.k, first.beta, ge_buf[:n_rows])
         ge = np.multiply(de_rows, y > 0.0, out=y)
         gc_sum += np.einsum("ij,ij->j", ge, t0)
         ge_i[tile_nodes], by_target = _source_target_sums(ge, tile_nodes, ones)
         ge_j[nodes] += by_target
-        ge_adj[run] = ge[local]
-        de_adj[run] = de_rows[local]
         de_sum += ones[:n_rows] @ de_rows
+    de_adj = de_next[batch.adj_idx[0]]
+    ge_adj = de_adj * (_edge_relu(t_adj, first.k, first.beta, np.empty_like(t_adj)) > 0.0)
     # the diagonal rows of de_next are 0, so ge's sums are over i != j
     g_sum = ge_i.sum(axis=0)
     k, a, c, d_gamma = _bn_backward_terms(layer.bn_edge, var_e, g_sum, gc_sum, m_e)
@@ -707,9 +714,6 @@ def _first_edge_backward(de_next, layer: ConvLayer, batch: GraphBatch, first: Fi
         + _segment_scatter(d[batch.col_perm], batch.row_starts, batch.row_ids, len(u))
     dt_i = k * ge_i - pairs * a - c * rows_t
     dt_j = k * ge_j - pairs * a - c * cols_t
-    _, src, dst = batch.adj_idx
-    t_adj = u[src] + r[dst]
-    t_adj += d
     dt_adj = k * ge_adj - a - c * t_adj
     dt_sum = dt_i.sum(axis=0)
     d_w_edge = np.outer(dt_sum, first.base) + dt_adj.T @ first.lift
@@ -728,7 +732,7 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     x = cache["x"]
     sg_vals, den, raw, v = cache["gate"]
     h = x.shape[1]
-    m_e = int(batch.pair_mask.sum())
+    m_e = batch.real_pairs
     first = cache.get("first")
 
     if first is not None:
@@ -908,7 +912,7 @@ def forward(batch: GraphBatch, params: ModelParams, training: bool = False):
         if training:
             edges = e.rows if isinstance(e, HeldEdges) else e
             rows = mlp_head(edges, params, batch)
-            m_e = int(batch.pair_mask.sum())
+            m_e = batch.real_pairs
             running = []
             for layer, lc in zip(params.layers, layer_caches):
                 bn_n, bn_e = layer.bn_node, layer.bn_edge

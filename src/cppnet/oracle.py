@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import FormatVersionMismatch, ParseError, TooLarge
+from .errors import Disconnected, FormatVersionMismatch, ParseError, TooLarge
 from .fileio import atomic_write_text, read_text
 from .scenario import GridMap, free_cell_edges
 
@@ -47,13 +47,15 @@ class Tour:
 
 
 def cost_matrix(grid: GridMap, connectivity: int = 4) -> CostMatrix:
+    """Shortest grid-path costs between all free cells; Disconnected if
+    some free cell cannot reach another under the connectivity."""
     n = grid.n_free
-    # free_cell_edges sorts its pairs by i and holds both directions of each
+    # free_cell_edges gives its pairs in (i, j) order and both directions of each
     i, j, length = free_cell_edges(grid, connectivity)
     adj = csr_matrix((length, j, np.searchsorted(i, np.arange(n + 1))), shape=(n, n))
     cost = dijkstra(adj, directed=True)
     if not np.all(np.isfinite(cost)):
-        raise AssertionError("free cells unreachable; GridMap invariant violated")
+        raise Disconnected(f"free cells unreachable under {connectivity}-connectivity")
     return CostMatrix(n, cost)
 
 

@@ -154,7 +154,7 @@ class GridMap:
 
 def free_cell_edges(grid: GridMap, connectivity: int = 4):
     """Every directed neighbour pair of free cells, as slot arrays (i, j) and
-    the step length of each pair, ordered by i and then by neighbor_steps.
+    the step length of each pair, in (i, j) order: by i, then by j.
 
     Slots number the free cells in row-major order. Each step compares the
     slot grid with a copy of itself shifted by that step.
@@ -170,9 +170,9 @@ def free_cell_edges(grid: GridMap, connectivity: int = 4):
         src.append(a[both])
         dst.append(b[both])
         lengths.append(np.full(np.count_nonzero(both), length))
-    i = np.concatenate(src)
-    order = np.argsort(i, kind="stable")
-    return i[order], np.concatenate(dst)[order], np.concatenate(lengths)[order]
+    i, j = np.concatenate(src), np.concatenate(dst)
+    order = np.lexsort((j, i))
+    return i[order], j[order], np.concatenate(lengths)[order]
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +287,7 @@ def generate_scenario(
     return GridMap(rows, cols, float(cell_size), occ, START_CELL)
 
 
-@dataclass(eq=False)
+@dataclass
 class ScenarioSet:
     """Ordered scenarios with their split tags and the master seed."""
 
@@ -301,15 +301,6 @@ class ScenarioSet:
         for tag in self.splits:
             if tag not in SPLITS:
                 raise ValueError(f"unknown split tag {tag!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, ScenarioSet):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.splits == other.splits
-            and self.scenarios == other.scenarios
-        )
 
     def __len__(self):
         return len(self.scenarios)

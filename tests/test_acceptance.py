@@ -115,7 +115,7 @@ def test_criterion_1_gradient_correctness(rng):
             init_params(config, seed=int(rng.integers(2**31))), rng
         )
         graph = encode(grid, n_max)
-        batch = stack_graphs([graph])
+        batch = stack_graphs([graph], dtype=np.float64)
         start = grid.free_cells().index(grid.start)
         labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid), start)), n_max)[None]
         heat, cache = forward(batch, params, training=True)

@@ -13,7 +13,7 @@ from cppnet.bench import (
     summarize,
 )
 from cppnet.decode import Trajectory, stitch
-from cppnet.errors import EmptyRecords, ParseError
+from cppnet.errors import Disconnected, EmptyRecords, ParseError
 from cppnet.model import ModelConfig, init_params
 from cppnet.oracle import Tour
 from cppnet.scenario import GridMap, dataset_build, generate_scenario
@@ -142,6 +142,19 @@ def test_run_benchmark_resumes_without_duplicates():
     }
     # lengths identical on resume (wall times belong to the original run)
     assert [r.length_m for r in resumed] == [r.length_m for r in first]
+
+
+def test_run_benchmark_passes_disconnected_maps_to_on_failure():
+    # maps built 8-connected at these densities are all disconnected under
+    # 4-connectivity: each ends its own turn and the sweep returns
+    sset = dataset_build(20, 6, 6, 1.0, (0.4, 0.5), (0.0, 0.0, 1.0), seed=3, connectivity=8)
+    params = init_params(ModelConfig(hidden=4, conv_layers=1, n_max=36), seed=0)
+    failures = []
+    records = run_benchmark(sset, params, connectivity=4,
+                            on_failure=lambda key, exc: failures.append((key, exc)))
+    assert records == []
+    assert [key for key, _ in failures] == [g.content_hash() for g in sset.split("test")]
+    assert all(isinstance(exc, Disconnected) for _, exc in failures)
 
 
 def test_lengths_respect_counting_bound():

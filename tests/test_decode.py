@@ -18,7 +18,7 @@ from cppnet.decode import (
     trajectory_from_text,
     trajectory_to_text,
 )
-from cppnet.errors import CapacityExceeded, FormatVersionMismatch, ParseError
+from cppnet.errors import CapacityExceeded, Disconnected, FormatVersionMismatch, ParseError
 from cppnet.graph import encode
 from cppnet.model import ModelConfig, heat_for_graph, init_params, load_checkpoint
 from cppnet.oracle import Tour, cost_matrix, label_pairs, nearest_neighbor_tour, pairs_to_matrix, two_opt
@@ -331,6 +331,13 @@ def test_astar_matches_bfs_oracle():
             path, length = astar(grid, cells[0], goal)
             assert length == pytest.approx(oracle[goal], abs=1e-9)
             assert path[0] == cells[0] and path[-1] == goal
+
+
+def test_astar_between_disconnected_cells_raises_disconnected():
+    grid = grid_from_rows([".#", "#."])
+    assert astar(grid, (0, 0), (1, 1), 8)[1] == pytest.approx(np.sqrt(2.0))
+    with pytest.raises(Disconnected):
+        astar(grid, (0, 0), (1, 1), 4)
 
 
 def test_astar_deterministic():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cppnet.errors import CapacityExceeded
 from cppnet.graph import encode
 from cppnet.oracle import cost_matrix
-from cppnet.scenario import GridMap, free_cells_connected, generate_scenario
+from cppnet.scenario import GridMap, free_cell_edges, free_cells_connected, generate_scenario
 
 from conftest import bfs_distances, flood_fill_free
 
@@ -24,6 +24,17 @@ def test_eight_connected_diagonal_distance():
     i, j, length = graph.edges
     (k,) = np.flatnonzero((i == slot[(0, 0)]) & (j == slot[(1, 1)]))
     assert length[k] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_edges_come_in_strict_i_j_order(connectivity):
+    # free_cell_edges fixes the pair order, and encode keeps it as it comes
+    grid = generate_scenario(6, 6, 1.0, 0.3, seed=4, connectivity=connectivity)
+    i, j, length = free_cell_edges(grid, connectivity)
+    key = i * grid.n_free + j
+    assert len(key) > 0 and np.all(np.diff(key) > 0)
+    for got, want in zip(encode(grid, 36, connectivity).edges, (i, j, length)):
+        assert np.array_equal(got, want)
 
 
 def test_3x3_adjacency_count():

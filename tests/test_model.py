@@ -303,7 +303,7 @@ def test_gradients_match_on_eight_connected_graph():
     config = ModelConfig(hidden=4, conv_layers=1, mlp_layers=2, n_max=grid.n_free + 1,
                          dtype="float64")
     params = randomize_params(init_params(config, seed=6), np.random.default_rng(1))
-    batch = stack_graphs([graph])
+    batch = stack_graphs([graph], dtype=np.float64)
     labels = pairs_to_matrix(label_pairs(two_opt(cost_matrix(grid, 8), 0)), batch.n)[None]
     assert_gradients_match(batch, labels, params)
 
@@ -734,6 +734,23 @@ def test_training_mode_padding_inert_too():
     assert np.max(np.abs(h2[0, :n, :n] - h1[0])) < 1e-10
 
 
+def test_real_pairs_count_the_pair_mask():
+    # a one-free-cell map adds a block but no pair
+    lone = encode(scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n"), 12)
+    batch = stack_graphs([lone] + [encode(g, 12) for g in mixed_grids()])
+    assert batch.blocks[0][0] == 1
+    assert batch.real_pairs == batch.pair_mask.sum()
+    assert stack_graphs([lone, lone]).real_pairs == 0
+
+
+def test_default_batch_and_model_precision_agree():
+    _, graph, _, _, _, _ = small_setup()
+    params = init_params(ModelConfig(hidden=4, conv_layers=2, n_max=graph.n_max), seed=0)
+    for training in (False, True):
+        heat, _ = forward(stack_graphs([graph]), params, training=training)
+        assert heat.dtype == ModelConfig().np_dtype
+
+
 def test_training_forward_without_pairs_is_degenerate():
     # one-free-cell maps have no pair to take edge statistics over; the
     # batch is refused before any running statistic moves
@@ -741,10 +758,10 @@ def test_training_forward_without_pairs_is_degenerate():
     params = init_params(ModelConfig(hidden=4, conv_layers=1, n_max=4, dtype="float64"), seed=0)
     before = [arr.copy() for _, arr in params.named_running()]
     with pytest.raises(DegenerateBatch):
-        forward(stack_graphs([lone, lone]), params, training=True)
+        forward(stack_graphs([lone, lone], dtype=np.float64), params, training=True)
     for (name, arr), old in zip(params.named_running(), before):
         assert np.array_equal(arr, old), name
-    heat, _ = forward(stack_graphs([lone]), params, training=False)
+    heat, _ = forward(stack_graphs([lone], dtype=np.float64), params, training=False)
     assert 0.0 < heat[0, 0, 0] < 1.0
 
 

@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from cppnet import oracle
-from cppnet.errors import FormatVersionMismatch, ParseError, TooLarge
+from cppnet.errors import Disconnected, FormatVersionMismatch, ParseError, TooLarge
 from cppnet.oracle import (
     TWO_OPT_RESTARTS,
     LabelCache,
@@ -79,6 +79,15 @@ def test_cost_matrix_eight_connected():
     oracle = bfs_distances(grid, (0, 0), connectivity=8)
     for j, cell in enumerate(grid.free_cells()):
         assert costs.cost[slots[(0, 0)], j] == pytest.approx(oracle[cell], abs=1e-9)
+
+
+def test_cost_matrix_of_a_disconnected_map_raises_disconnected():
+    # the two free cells touch only diagonally: one component under
+    # 8-connectivity, two under 4
+    grid = GridMap(2, 2, 1.0, np.array([[False, True], [True, False]]), (0, 0))
+    assert cost_matrix(grid, 8).cost[0, 1] == pytest.approx(np.sqrt(2.0))
+    with pytest.raises(Disconnected):
+        cost_matrix(grid, 4)
 
 
 def test_cost_matrix_symmetric():
