@@ -6,8 +6,10 @@ layers with batch normalization, and an MLP head that maps each final
 edge feature to the probability of that edge belonging to the optimal
 coverage tour.
 
-Everything is plain numpy. The backward pass is derived by hand and is
-exact reverse-mode differentiation of the forward, including the batch
+Everything is numpy, and each per-node sum over the free-cell adjacency
+is one product with a scipy sparse incidence matrix (GraphBatch.by_source,
+GraphBatch.by_target). The backward pass is derived by hand and is exact
+reverse-mode differentiation of the forward, including the batch
 normalization statistics and the neighbor-gating quotient; finite
 differences validate it to 1e-4 relative error in the test suite.
 
@@ -48,8 +50,10 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import (
     CacheConsumed,
@@ -217,6 +221,12 @@ class GraphBatch:
     graph b owns node rows blocks[b][1] and edge rows blocks[b][2], its
     (n_b, n_b) block in row-major order. block_mask (B, n, n) marks the
     padded slots of those edge rows, in the same order.
+
+    by_source and by_target are the (N, A) incidence matrices of the
+    adjacency by source and by target node row: by_source @ X sums the
+    (A, h) adjacency rows X per source node, by_target @ X per target node,
+    each in adj_idx order; a node without an edge gets a zero row. They are
+    built on first use and are not dataclass fields.
     """
 
     real: np.ndarray         # (B, n) bool
@@ -226,9 +236,6 @@ class GraphBatch:
     coords: np.ndarray       # (N, 2)
     adj_idx: tuple           # (edge row, source node row, target node row) per free-cell edge
     adj_len: np.ndarray      # (A,) step length per free-cell edge
-    row_starts: np.ndarray   # reduceat boundaries grouping adj_idx by source node
-    row_ids: np.ndarray      # source node row per boundary group
-    col_perm: np.ndarray     # permutation sorting adj_idx by target node
 
     @property
     def n(self):
@@ -243,6 +250,24 @@ class GraphBatch:
         """The real ordered pairs i != j, pair_mask's count: the entries the
         edge batch statistics pool over."""
         return sum(nb * (nb - 1) for nb, _, _ in self.blocks)
+
+    def _incidence(self, nodes, order):
+        """The (N, A) CSR matrix with a one at (nodes[q], q), each row's
+        entries in the order given: the adjacency sorted by nodes."""
+        counts = np.bincount(nodes, minlength=len(self.coords))
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        data = np.ones(len(order), dtype=self.coords.dtype)
+        return csr_matrix((data, order, indptr), shape=(len(self.coords), len(order)))
+
+    @cached_property
+    def by_source(self):
+        src = self.adj_idx[1]
+        return self._incidence(src, np.arange(len(src)))
+
+    @cached_property
+    def by_target(self):
+        dst = self.adj_idx[2]
+        return self._incidence(dst, np.argsort(dst, kind="stable"))
 
 
 def stack_graphs(graphs: list[ScenarioGraph], dtype=ModelConfig().np_dtype) -> GraphBatch:
@@ -267,8 +292,6 @@ def stack_graphs(graphs: list[ScenarioGraph], dtype=ModelConfig().np_dtype) -> G
     src = node_starts[b_idx] + i_idx
     dst = node_starts[b_idx] + j_idx
     edge = edge_starts[b_idx] + i_idx * sizes[b_idx] + j_idx
-    # keys are >= 0, so prepending -1 opens a group at the first entry
-    row_starts = np.flatnonzero(np.diff(src, prepend=-1))
     return GraphBatch(
         real,
         pair_mask,
@@ -277,28 +300,12 @@ def stack_graphs(graphs: list[ScenarioGraph], dtype=ModelConfig().np_dtype) -> G
         np.concatenate([g.coords for g in graphs]).astype(dtype),
         (edge, src, dst),
         length.astype(dtype),
-        row_starts,
-        src[row_starts],
-        np.argsort(dst, kind="stable"),
     )
 
 
-def _segment_scatter(values, starts, ids, out_rows):
-    """Sum contiguous segments of values and scatter them to row ids."""
-    h = values.shape[-1]
-    out = np.zeros((out_rows, h), dtype=values.dtype)
-    if len(values):
-        out[ids] = np.add.reduceat(values, starts, axis=0)
-    return out
-
-
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _pair_bias(params: ModelParams):
@@ -310,10 +317,10 @@ def _pair_bias(params: ModelParams):
 def _tile_adjacency(tile_nodes, rows, batch: GraphBatch):
     """The adjacency entries of an edge tile from _edge_tiles: their run of
     adj_idx and their rows in the tile. The adjacency is sorted by source
-    node row, so a tile's edges are a run."""
-    edge, src, _ = batch.adj_idx
-    lo, hi = np.searchsorted(src, (tile_nodes.start, tile_nodes.stop))
-    return slice(lo, hi), edge[lo:hi] - rows.start
+    node row, so a tile's edges are a run of by_source's entries."""
+    indptr = batch.by_source.indptr
+    lo, hi = indptr[tile_nodes.start], indptr[tile_nodes.stop]
+    return slice(lo, hi), batch.adj_idx[0][lo:hi] - rows.start
 
 
 def embed_input(batch: GraphBatch, params: ModelParams):
@@ -343,10 +350,9 @@ def _gate_forward(e_adj, x, layer: ConvLayer, batch: GraphBatch):
     """Neighbor aggregation sum_j eta_ij * (W_neighbor x_j) from the (A, h)
     adjacency edge rows."""
     v = x @ layer.w_neighbor.T
-    dst = batch.adj_idx[2]
     sg_vals = _sigmoid(e_adj)
-    den = _segment_scatter(sg_vals, batch.row_starts, batch.row_ids, len(x)) + GATE_EPS
-    raw = _segment_scatter(sg_vals * v[dst], batch.row_starts, batch.row_ids, len(x))
+    den = batch.by_source @ sg_vals + GATE_EPS
+    raw = batch.by_source @ (sg_vals * v[batch.adj_idx[2]])
     agg = raw / den
     return sg_vals, den, raw, v, agg
 
@@ -708,10 +714,8 @@ def _first_edge_backward(de_next, layer: ConvLayer, batch: GraphBatch, first: Fi
 
     # sums of t0 over j != i (row i) and over i != j (column j)
     pairs = _node_pairs(batch, u.dtype)
-    rows_t = pairs * u + (_block_sums(r, batch) - r) \
-        + _segment_scatter(d, batch.row_starts, batch.row_ids, len(u))
-    cols_t = (_block_sums(u, batch) - u) + pairs * r \
-        + _segment_scatter(d[batch.col_perm], batch.row_starts, batch.row_ids, len(u))
+    rows_t = pairs * u + (_block_sums(r, batch) - r) + batch.by_source @ d
+    cols_t = (_block_sums(u, batch) - u) + pairs * r + batch.by_target @ d
     dt_i = k * ge_i - pairs * a - c * rows_t
     dt_j = k * ge_j - pairs * a - c * cols_t
     dt_adj = k * ge_adj - a - c * t_adj
@@ -781,13 +785,11 @@ def conv_backward(dx_next, de_next, layer: ConvLayer, batch: GraphBatch, cache):
     ds = k * gn - (a + c * s_c)
     dx += ds @ layer.w_self
 
-    # gated aggregation: agg = raw / den, raw = sum_j sg * v_j; the free-cell
-    # graph is symmetric, so grouped by target its adjacency has the source groups
+    # gated aggregation: agg = raw / den, raw = sum_j sg * v_j
     edge, src, dst = batch.adj_idx
     draw = ds / den
     dden = -ds * raw / (den * den)
-    dv_vals = sg_vals * draw[src]
-    dv = _segment_scatter(dv_vals[batch.col_perm], batch.row_starts, batch.row_ids, len(x))
+    dv = batch.by_target @ (sg_vals * draw[src])
     dsg_vals = draw[src] * v[dst] + dden[src]
     d_adjacent = dsg_vals * sg_vals * (1.0 - sg_vals)
     if first is not None:

@@ -53,6 +53,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

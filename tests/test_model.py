@@ -204,6 +204,30 @@ def test_mlp_head_directed_probabilities():
     assert np.allclose(sym, np.swapaxes(sym, 1, 2))
 
 
+def masked_sigmoid(x):
+    """The logistic function by boolean masks, each half in its stable form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e300), (np.float32, 3e38)])
+def test_sigmoid_matches_masked_formula_bit_for_bit(dtype, big):
+    edges = [0.0, 1e-30, 0.5, 80.0, 700.0, big, np.inf]
+    x = np.array(edges + [-v for v in edges] + [np.nan], dtype=dtype)
+    x = np.concatenate([x, np.random.default_rng(0).normal(0, 20, 1000).astype(dtype)])
+    with model._trapped("forward"):
+        got = model._sigmoid(x)
+    want = masked_sigmoid(x)
+    # a NaN stays NaN; -abs sets its sign bit, which nothing reads
+    nan = np.isnan(want)
+    assert got.dtype == dtype and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_weighted_bce_perfect_prediction():
     labels = np.zeros((1, 4, 4))
     labels[0, 0, 1] = labels[0, 1, 0] = 1.0
@@ -330,14 +354,35 @@ def mixed_batch(connectivity, n_max=None, dtype=np.float64):
     return batch, labels.astype(dtype)
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_adjacency_target_groups_match_source_groups(connectivity):
-    # conv_backward groups the target-sorted adjacency by the source-node
-    # boundaries; the free-cell graph is symmetric, so they coincide
-    batch, _ = mixed_batch(connectivity)
-    by_target = batch.adj_idx[2][batch.col_perm]
-    assert np.array_equal(np.flatnonzero(np.diff(by_target, prepend=-1)), batch.row_starts)
-    assert np.array_equal(by_target[batch.row_starts], batch.row_ids)
+def test_incidence_products_sum_the_adjacency(monkeypatch):
+    # a batch of 4- and 8-connected maps with a one-free-cell map, whose
+    # node row has no adjacency entry and sums to zero
+    lone = scenario_from_text("cpp-scenario v1 2 2 1.0 0 0\n.#\n##\n")
+    a, b, c = mixed_grids()
+    n = c.n_free + 1
+    graphs = [encode(a, n, 4), encode(lone, n, 8), encode(b, n, 8), encode(c, n, 4),
+              encode(c, n, 8)]
+    batch = stack_graphs(graphs, dtype=np.float64)
+    edge, src, dst = batch.adj_idx
+    values = np.random.default_rng(0).standard_normal((len(edge), 3))
+    lone_row = batch.blocks[1][1].start
+    for incidence, nodes in ((batch.by_source, src), (batch.by_target, dst)):
+        want = np.zeros((len(batch.coords), 3))
+        np.add.at(want, nodes, values)
+        got = incidence @ values
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert not got[lone_row].any()
+    single = stack_graphs(graphs, dtype=np.float32)
+    assert (single.by_target @ values.astype(np.float32)).dtype == np.float32
+
+    # each tile's run of the adjacency, as a search of the sorted sources finds it
+    for tile_rows in (1, 20, model.EDGE_TILE_ROWS):
+        monkeypatch.setattr(model, "EDGE_TILE_ROWS", tile_rows)
+        for tile_nodes, _, rows in model._edge_tiles(batch):
+            lo, hi = np.searchsorted(src, (tile_nodes.start, tile_nodes.stop))
+            run, local = model._tile_adjacency(tile_nodes, rows, batch)
+            assert (run.start, run.stop) == (lo, hi), tile_rows
+            assert np.array_equal(local, edge[lo:hi] - rows.start), tile_rows
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])

@@ -304,6 +304,13 @@ def test_parse_config_bad_value_names_line_and_key(line):
         parse_config_text(f"# a config\nseed = 1\n{line}\n")
 
 
+def test_parse_config_refuses_a_negative_seed():
+    # init_params would refuse it only once every map was labelled, and
+    # without naming the config line
+    with pytest.raises(ParseError, match="line 2: bad seed value '-1': seed must be >= 0"):
+        parse_config_text("batch_size = 4\nseed = -1\n")
+
+
 def test_grads_shape_matches_params():
     sset = tiny_dataset(count=6)
     config = TrainConfig(learning_rate=1e-3, batch_size=3, max_epochs=1, seed=0)
